@@ -42,9 +42,11 @@ admission >= 3x the per-arrival incremental path, and batched placement
 grid for smoke runs; floors only apply when their scale is measured.
 """
 
+import gc
 import json
 import os
 import random
+import statistics
 import time
 from pathlib import Path
 
@@ -497,55 +499,128 @@ def _measure_kernel(n_events: int = 120_000):
 # ----------------------------------------------------------------------
 # Fault-injection overhead on the messaging hot path
 # ----------------------------------------------------------------------
-#: Remote sends per timed repetition of the fault-injection benchmark
+#: Remote sends per timed run of the fault-injection benchmark
 #: (env-reducible for smoke runs, like the admission scales).
-FAULT_SENDS = int(os.environ.get("REPRO_BENCH_FAULT_SENDS", "30000"))
+FAULT_SENDS = int(os.environ.get("REPRO_BENCH_FAULT_SENDS", "2000"))
+
+#: Interleaved plain/injector pairs per measurement.  Many short pairs
+#: beat a few long ones on a shared host: the two halves of a pair run
+#: milliseconds apart, so they see the same machine.
+FAULT_ROUNDS = 61
 
 
-def _time_sends(idle_injector: bool, n_sends: int) -> float:
+def _time_sends(injector, n_sends: int) -> float:
     """Seconds for ``n_sends`` remote ``Network.send`` calls (fixed work).
 
     The deliver callback is a no-op and the kernel drains off the clock
     afterwards, so only the send path — sampling, scheduling, and (when
-    installed) the idle injector's armed check — is measured.  Both
-    variants run the identical delay-model draws from the same seed.
+    ``injector`` is installed) its armed check — is measured.  Every
+    variant runs the identical delay-model draws from the same seed.
+    The collector is paused while timing: its passes land at arbitrary
+    points of one run and not the other.
     """
     sim = Simulator()
     network = Network(sim, random.Random(2008))
     network.add_node("P0")
     network.add_node("P1")
-    if idle_injector:
-        network.install_fault_injector(FaultInjector(RngRegistry(2008)))
+    if injector is not None:
+        network.install_fault_injector(injector)
 
     def on_deliver(message):
         pass
 
-    start = time.perf_counter()
-    for i in range(n_sends):
-        network.send("P0", "P1", "bench", i, on_deliver)
-    elapsed = time.perf_counter() - start
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for i in range(n_sends):
+            network.send("P0", "P1", "bench", i, on_deliver)
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.enable()
     sim.run()  # drain the scheduled deliveries off the clock
     return elapsed
 
 
-def _measure_fault_injection(n_sends: int = FAULT_SENDS, repeats: int = 5):
-    """Best-of-``repeats`` send throughput, plain vs idle injector.
+def _idle_injector():
+    return FaultInjector(RngRegistry(2008))
 
-    Repetitions interleave the two variants so clock-speed drift on a
-    shared runner hits both equally; taking the per-variant minimum then
-    discards the noisy repetitions.
+
+def _measure_fault_injection(
+    n_sends: int = FAULT_SENDS,
+    rounds: int = FAULT_ROUNDS,
+    make_injector=_idle_injector,
+):
+    """Send throughput, plain vs with ``make_injector()`` installed.
+
+    ``rounds`` short pairs, each timing both variants back to back; the
+    order alternates between pairs so warm-up and drift favour neither.
+    The overhead is the median of the per-pair time ratios: a slow
+    stretch of a shared host inflates both halves of a pair and cancels
+    in its ratio, and the median drops the pairs it split.  Throughputs
+    are reported from each variant's fastest run.
     """
-    plain_best = float("inf")
-    idle_best = float("inf")
-    for _ in range(repeats):
-        plain_best = min(plain_best, _time_sends(False, n_sends))
-        idle_best = min(idle_best, _time_sends(True, n_sends))
+    ratios = []
+    plain_best = idle_best = float("inf")
+    for index in range(rounds):
+        if index % 2:
+            idle = _time_sends(make_injector(), n_sends)
+            plain = _time_sends(None, n_sends)
+        else:
+            plain = _time_sends(None, n_sends)
+            idle = _time_sends(make_injector(), n_sends)
+        ratios.append(idle / plain)
+        plain_best = min(plain_best, plain)
+        idle_best = min(idle_best, idle)
     return {
         "sends": n_sends,
+        "rounds": rounds,
         "plain_sends_per_sec": n_sends / plain_best,
         "idle_injector_sends_per_sec": n_sends / idle_best,
-        "overhead_ratio": idle_best / plain_best,
+        "overhead_ratio": statistics.median(ratios),
     }
+
+
+class _CostlyIdleInjector:
+    """Stands in for an idle :class:`FaultInjector` whose armed check
+    burns ``spin_s`` per send.
+
+    The negative control: a per-send cost this large must fail the same
+    gate an ordinary idle injector passes.
+    """
+
+    def __init__(self, spin_s: float) -> None:
+        self._spin_s = spin_s
+
+    @property
+    def armed(self) -> bool:
+        deadline = time.perf_counter() + self._spin_s
+        while time.perf_counter() < deadline:
+            pass
+        return False
+
+
+def test_fault_injection_gate_catches_a_ten_percent_send_cost():
+    saved_sanitize = os.environ.pop("REPRO_SANITIZE", None)
+    try:
+        # The spin lasts at least 10% of a plain send (plus the cost of
+        # its own timer reads), so the control adds 10% or more.
+        plain_s = min(_time_sends(None, FAULT_SENDS) for _ in range(3))
+        spin_s = 0.10 * plain_s / FAULT_SENDS
+        control = _measure_fault_injection(
+            make_injector=lambda: _CostlyIdleInjector(spin_s)
+        )
+    finally:
+        if saved_sanitize is not None:
+            os.environ["REPRO_SANITIZE"] = saved_sanitize
+    print(
+        f"\nnegative control: +{spin_s * 1e9:.0f} ns per send -> "
+        f"{(control['overhead_ratio'] - 1.0) * 100.0:+.1f}%"
+    )
+    assert control["overhead_ratio"] >= 1.05, (
+        "the fault-injection gate must fail a >=10% per-send cost, measured "
+        f"{(control['overhead_ratio'] - 1.0) * 100.0:+.1f}%"
+    )
 
 
 def test_bench_fault_injection():

@@ -327,12 +327,13 @@ class Session:
                 "replay scenarios are analytic and have no deployment; "
                 "call Session.run() directly"
             )
-        workload = scenario.workload.materialize()
+        # The DAnCE path materializes the workload itself, so each branch
+        # materializes only where it uses the result.
         if scenario.engine == ENGINE_DISTRIBUTED:
             from repro.core.distributed_ac import DistributedMiddlewareSystem
 
             self._system = DistributedMiddlewareSystem(
-                workload,
+                scenario.workload.materialize(),
                 seed=scenario.seed,
                 cost_model=scenario.cost_model,
                 delay_model=scenario.delay_model,
@@ -354,7 +355,7 @@ class Session:
             from repro.core.middleware import MiddlewareSystem
 
             self._system = MiddlewareSystem(
-                workload,
+                scenario.workload.materialize(),
                 scenario.strategy_combo,
                 cost_model=scenario.cost_model,
                 seed=scenario.seed,

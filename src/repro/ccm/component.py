@@ -57,6 +57,14 @@ class Component:
     def __init__(self, name: str) -> None:
         self.name = name
         self.container: Optional["Container"] = None
+        # The container's environment, bound once by Container.install;
+        # per-event code reads these instead of the checked accessors
+        # below.  Set here first: CPython keeps an instance's attributes
+        # compact only when __init__ creates them.
+        self._node: Optional[str] = None
+        self._sim: Any = None
+        self._processor: Any = None
+        self._tracer: Any = None
         self._activated = False
         self._attributes: Dict[str, Any] = {}
         for attr_name, spec in self.ATTRIBUTES.items():
@@ -153,6 +161,10 @@ class Component:
 
     # ------------------------------------------------------------------
     # Convenience accessors (valid once installed)
+    #
+    # Checked: they raise ComponentError before install.  After install
+    # they equal the fields Container.install bound (``_node``, ``_sim``,
+    # ``_processor``, ``_tracer``), which per-event code reads directly.
     # ------------------------------------------------------------------
     @property
     def node(self) -> str:

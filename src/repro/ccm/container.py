@@ -28,19 +28,14 @@ class Container:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.processor = processor
+        #: The processor's name and kernel, fixed for the container's life.
+        self.node: str = processor.name
+        self.sim: Simulator = processor.sim
         self.federation = federation
         # Note: explicit None check — an empty Tracer is falsy (__len__).
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.components: List[Component] = []
         self._by_name: Dict[str, Component] = {}
-
-    @property
-    def node(self) -> str:
-        return self.processor.name
-
-    @property
-    def sim(self) -> Simulator:
-        return self.processor.sim
 
     def install(self, component: Component) -> Component:
         """Install ``component`` into this container and run its hook."""
@@ -54,6 +49,12 @@ class Container:
                 f"named {component.name!r}"
             )
         component.container = self
+        # Bind the environment once: per-event component code reads these
+        # fields instead of going through the checked accessors.
+        component._node = self.node
+        component._sim = self.sim
+        component._processor = self.processor
+        component._tracer = self.tracer
         self.components.append(component)
         self._by_name[component.name] = component
         component.on_install(self)

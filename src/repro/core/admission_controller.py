@@ -143,6 +143,11 @@ class AdmissionControllerComponent(Component):
         self._thread = None
         #: Arrivals awaiting a batched decision (batching enabled only).
         self._arrival_queue: List[TaskArriveEvent] = []
+        # Immutable strategy attributes, cached at activation for the
+        # per-arrival path.
+        self._ac_strategy = "J"
+        self._lb_strategy = "N"
+        self._batching = False
         self.admitted_jobs = 0
         self.rejected_jobs = 0
         self.idle_resets_applied = 0
@@ -167,10 +172,6 @@ class AdmissionControllerComponent(Component):
             IRStrategy(self.get_attribute("ir_strategy")),
             LBStrategy(self.get_attribute("lb_strategy")),
         )
-
-    @property
-    def lb_enabled(self) -> bool:
-        return self.get_attribute("lb_strategy") != "N"
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -209,10 +210,13 @@ class AdmissionControllerComponent(Component):
 
     def on_activate(self) -> None:
         self.combo.validate()
-        if self.lb_enabled and not self._locator.connected:
+        self._ac_strategy = self.get_attribute("ac_strategy")
+        self._lb_strategy = self.get_attribute("lb_strategy")
+        self._batching = self.get_attribute("batching")
+        if self._lb_strategy != "N" and not self._locator.connected:
             raise ComponentError(
                 f"AC {self.name!r}: lb_strategy="
-                f"{self.get_attribute('lb_strategy')!r} but no LB connected"
+                f"{self._lb_strategy!r} but no LB connected"
             )
         if self.ledger is None:
             self._initialize_state()
@@ -249,9 +253,9 @@ class AdmissionControllerComponent(Component):
     # Task Arrive handling
     # ------------------------------------------------------------------
     def _on_task_arrive(self, event: TaskArriveEvent) -> None:
-        op = OP_LB_PLAN if self.lb_enabled else OP_ADMISSION_TEST
+        op = OP_LB_PLAN if self._lb_strategy != "N" else OP_ADMISSION_TEST
         cost = self.env.cost_model.sample(op, self.env.cost_rng)
-        if self.get_attribute("batching"):
+        if self._batching:
             # Queue the arrival; the work item that completes first drains
             # the whole queue in one batched decision pass, later ones
             # find it empty.  Every arrival still charges its own sampled
@@ -261,18 +265,18 @@ class AdmissionControllerComponent(Component):
                 self._m_queue_depth.set(
                     max(self._m_queue_depth.value, len(self._arrival_queue))
                 )
-            self.processor.submit(
+            self._processor.submit(
                 self._thread,
                 WorkItem(cost, self._drain_arrivals, label="admit:batch"),
             )
             return
-        self.processor.submit(
+        self._processor.submit(
             self._thread,
             WorkItem(cost, self._decide, event, label=f"admit:{event.job.task.task_id}"),
         )
 
     def _decide(self, event: TaskArriveEvent) -> None:
-        now = self.sim.now
+        now = self._sim.now
         triage = self._triage(event, now)
         if triage is None:
             return
@@ -295,14 +299,14 @@ class AdmissionControllerComponent(Component):
             return None
         record = self._records.setdefault(task.task_id, TaskRecord())
         record.jobs_seen += 1
-        per_task_ac = self.get_attribute("ac_strategy") == "T" and task.is_periodic
+        per_task_ac = self._ac_strategy == "T" and task.is_periodic
         if per_task_ac and record.admitted is not None:
             # Cached per-task decision: no admission test, but per-job load
             # balancing may still relocate the reserved assignment.
             if not record.admitted:
                 self._send_reject(event, "task rejected at first arrival")
                 return None
-            if self.get_attribute("lb_strategy") == "J":
+            if self._lb_strategy == "J":
                 self._try_relocate_reserved(task, record)
             self._send_accept(event, record.assignment)
             return None
@@ -330,7 +334,7 @@ class AdmissionControllerComponent(Component):
             record.admitted = admitted
             record.assignment = assignment if admitted else None
         if admitted:
-            if self.get_attribute("lb_strategy") == "T" and task.is_periodic:
+            if self._lb_strategy == "T" and task.is_periodic:
                 record.assignment = assignment
             self._send_accept(event, assignment)
         else:
@@ -349,10 +353,10 @@ class AdmissionControllerComponent(Component):
         self.batched_arrivals += len(events)
         if self._m_batch_size is not None:
             self._m_batch_size.observe(float(len(events)))
-        if self.lb_enabled:
+        if self._lb_strategy != "N":
             self._drain_arrivals_lb(events)
             return
-        now = self.sim.now
+        now = self._sim.now
         pending: List[Tuple[TaskArriveEvent, TaskRecord, bool]] = []
         #: Periodic tasks whose first (reserving) job is in ``pending``.
         reserving: set = set()
@@ -399,11 +403,8 @@ class AdmissionControllerComponent(Component):
         the sequential flow, which sees exactly the state the per-arrival
         path would have built.
         """
-        now = self.sim.now
-        relocating = (
-            self.get_attribute("ac_strategy") == "T"
-            and self.get_attribute("lb_strategy") == "J"
-        )
+        now = self._sim.now
+        relocating = self._ac_strategy == "T" and self._lb_strategy == "J"
         segment: List[Tuple[TaskArriveEvent, TaskRecord, bool]] = []
         #: Periodic tasks whose first (reserving) job is in ``segment``.
         reserving: set = set()
@@ -444,7 +445,7 @@ class AdmissionControllerComponent(Component):
         """Plan and decide one contiguous run of fresh LB admissions
         through a single analyzer batch session."""
         locator = self._locator()
-        lb = self.get_attribute("lb_strategy")
+        lb = self._lb_strategy
         # Worst-case demand envelope: every stage of every queued arrival
         # counted on each processor it could be placed on.  Placements
         # chosen below always stay inside it (plans pick from eligible
@@ -571,7 +572,7 @@ class AdmissionControllerComponent(Component):
                 registry_key, task.visited_processors(assignment), expiry
             )
             if not per_task_ac:
-                self.sim.schedule_at(
+                self._sim.schedule_at(
                     job.absolute_deadline, self._expire_job, job, assignment
                 )
             self._send_accept(event, assignment)
@@ -581,7 +582,7 @@ class AdmissionControllerComponent(Component):
     ) -> Optional[Dict[int, str]]:
         """Choose the assignment plan the admission test will evaluate."""
         task = job.task
-        lb = self.get_attribute("lb_strategy")
+        lb = self._lb_strategy
         if lb == "N":
             return task.home_assignment()
         if lb == "T" and task.is_periodic and record.assignment is not None:
@@ -620,14 +621,14 @@ class AdmissionControllerComponent(Component):
         expiry = None if reserved else job.absolute_deadline
         self.analyzer.register(registry_key, visits, expiry)
         if not reserved:
-            self.sim.schedule_at(
+            self._sim.schedule_at(
                 job.absolute_deadline, self._expire_job, job, assignment
             )
         return True
 
     def _expire_job(self, job: Job, assignment: Dict[int, str]) -> None:
         """Deadline expiry: the job leaves the current task set."""
-        now = self.sim.now
+        now = self._sim.now
         task = job.task
         for subtask in task.subtasks:
             node = assignment[subtask.index]
@@ -638,7 +639,7 @@ class AdmissionControllerComponent(Component):
         """AC-per-task + LB-per-job: move the lifetime reservation if the
         LB finds a better admissible placement for this job."""
         locator = self._locator()
-        now = self.sim.now
+        now = self._sim.now
         proposed = locator.location_for_reserved(task, record.assignment, now)
         if proposed is None or proposed == record.assignment:
             return
@@ -667,16 +668,18 @@ class AdmissionControllerComponent(Component):
         self.admitted_jobs += 1
         if self._m_decisions_accept is not None:
             self._m_decisions_accept.inc()
-            self._m_decision_latency.observe(self.sim.now - job.arrival_time)
+            self._m_decision_latency.observe(self._sim.now - job.arrival_time)
         release_node = assignment[0]
-        self.tracer.record(
-            self.sim.now,
-            "ac.accept",
-            self.node,
-            task=job.task.task_id,
-            job=job.index,
-            release_node=release_node,
-        )
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.record(
+                self._sim.now,
+                "ac.accept",
+                self._node,
+                task=job.task.task_id,
+                job=job.index,
+                release_node=release_node,
+            )
         self._source.push(
             release_node,
             accept_topic(release_node),
@@ -695,15 +698,17 @@ class AdmissionControllerComponent(Component):
         self.rejected_jobs += 1
         if self._m_decisions_reject is not None:
             self._m_decisions_reject.inc()
-            self._m_decision_latency.observe(self.sim.now - job.arrival_time)
-        self.tracer.record(
-            self.sim.now,
-            "ac.reject",
-            self.node,
-            task=job.task.task_id,
-            job=job.index,
-            reason=reason,
-        )
+            self._m_decision_latency.observe(self._sim.now - job.arrival_time)
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.record(
+                self._sim.now,
+                "ac.reject",
+                self._node,
+                task=job.task.task_id,
+                job=job.index,
+                reason=reason,
+            )
         self._source.push(
             event.arrival_node,
             reject_topic(event.arrival_node),
@@ -716,13 +721,13 @@ class AdmissionControllerComponent(Component):
     def _on_idle_reset(self, event: IdleResettingEvent) -> None:
         cost = self.env.cost_model.sample(OP_IR_UPDATE, self.env.cost_rng)
         self.env.overhead.record_ir_ac_side(cost)
-        self.processor.submit(
+        self._processor.submit(
             self._thread,
             WorkItem(cost, self._apply_idle_reset, event, label="idle_reset"),
         )
 
     def _apply_idle_reset(self, event: IdleResettingEvent) -> None:
-        now = self.sim.now
+        now = self._sim.now
         # One batch-remove per idle period: a single AUB cache refresh no
         # matter how many subjobs the idle processor reclaimed.
         self.idle_resets_applied += self.ledger.remove_batch(
@@ -730,6 +735,8 @@ class AdmissionControllerComponent(Component):
         )
         if self._m_reclaim_size is not None and event.entries:
             self._m_reclaim_size.observe(float(len(event.entries)))
-        self.tracer.record(
-            now, "ac.idle_reset", self.node, entries=len(event.entries)
-        )
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.record(
+                now, "ac.idle_reset", self._node, entries=len(event.entries)
+            )

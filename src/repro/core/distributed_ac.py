@@ -283,6 +283,7 @@ class DistributedAdmissionControllerComponent(Component):
         # Re-read from attributes at activation.
         self._vote_timeout = 0.25
         self._max_retries = 2
+        self._batching = False
         # Pre-bound metric children (armed runs only; see on_activate).
         self._m_decisions_accept = None
         self._m_decisions_reject = None
@@ -346,6 +347,7 @@ class DistributedAdmissionControllerComponent(Component):
         self._thread = self.processor.new_thread(f"{self.name}.dispatch", 0.0)
         self._vote_timeout = float(self.get_attribute("vote_timeout"))
         self._max_retries = int(self.get_attribute("max_retries"))
+        self._batching = self.get_attribute("batching")
         registry = self.env.metrics_registry
         if registry is not None:
             decisions = registry.counter(
@@ -428,7 +430,7 @@ class DistributedAdmissionControllerComponent(Component):
         self._granted_votes.clear()
         if self._shadow is not None:
             for key in self._contribs:
-                self._shadow.remove(self.node, key)
+                self._shadow.remove(self._node, key)
         self._contribs.clear()
         self._caps.clear()
         self._cap_heap.clear()
@@ -451,12 +453,12 @@ class DistributedAdmissionControllerComponent(Component):
         """
         committed = math.fsum(self._contribs.values()) if self._contribs else 0.0
         if self._shadow is not None:
-            self._shadow.verify_shard(self.node, self._contribs, committed)
+            self._shadow.verify_shard(self._node, self._contribs, committed)
         locked = math.fsum(self._locks.values()) if self._locks else 0.0
         drift = abs(self._total - (locked + committed))
         if drift > sanitize.TOTAL_DRIFT_TOLERANCE:
             raise sanitize.SanitizeViolation(
-                f"distributed AC {self.node!r}: running total "
+                f"distributed AC {self._node!r}: running total "
                 f"{self._total!r} drifted {drift!r} from the recomputed "
                 f"locked+committed sum {locked + committed!r}"
             )
@@ -466,7 +468,7 @@ class DistributedAdmissionControllerComponent(Component):
         if not self._chaos_armed():
             return None
         callback = self._on_batch_vote_timeout if batch else self._on_vote_timeout
-        return self.sim.schedule(
+        return self._sim.schedule(
             self._vote_timeout * (2.0 ** attempt), callback, txn
         )
 
@@ -486,8 +488,8 @@ class DistributedAdmissionControllerComponent(Component):
         """
         if not self._chaos_armed():
             return
-        self._lock_expiry[key] = self.sim.schedule_at(
-            max(self.sim.now, expiry), self._expire_lock, key
+        self._lock_expiry[key] = self._sim.schedule_at(
+            max(self._sim.now, expiry), self._expire_lock, key
         )
 
     def _cancel_lock_expiry(self, key: object) -> None:
@@ -519,16 +521,16 @@ class DistributedAdmissionControllerComponent(Component):
             self._reject(event, "node crashed")
             return
         cost = self.env.cost_model.sample(OP_ADMISSION_TEST, self.env.cost_rng)
-        if self.get_attribute("batching"):
+        if self._batching:
             # Queue the arrival; the first work item to complete drains
             # every queued arrival in one pass (each still pays its own
             # sampled admission cost on the dispatch thread).
             self._arrival_queue.append(event)
-            self.processor.submit(
+            self._processor.submit(
                 self._thread, WorkItem(cost, self._drain_arrivals)
             )
             return
-        self.processor.submit(
+        self._processor.submit(
             self._thread, WorkItem(cost, self._coordinate, event)
         )
 
@@ -553,7 +555,7 @@ class DistributedAdmissionControllerComponent(Component):
         self._arrival_queue = []
         self.batch_calls += 1
         self.batched_arrivals += len(events)
-        now = self.sim.now
+        now = self._sim.now
         items: List[_BatchItem] = []
         for event in events:
             job = event.job
@@ -596,7 +598,7 @@ class DistributedAdmissionControllerComponent(Component):
         for node in participants:
             request = BatchReserveRequest(
                 txn=txn,
-                coordinator=self.node,
+                coordinator=self._node,
                 items=tuple(
                     ReserveItem(
                         index=i,
@@ -617,7 +619,7 @@ class DistributedAdmissionControllerComponent(Component):
             return
         job = event.job
         task = job.task
-        now = self.sim.now
+        now = self._sim.now
         if job.absolute_deadline <= now:
             self._reject(event, "deadline expired before admission")
             return
@@ -643,7 +645,7 @@ class DistributedAdmissionControllerComponent(Component):
         for node in transaction.participants:
             request = ReserveRequest(
                 txn=txn,
-                coordinator=self.node,
+                coordinator=self._node,
                 job_key=job.key,
                 delta=deltas[node],
                 expiry=job.absolute_deadline,
@@ -686,7 +688,7 @@ class DistributedAdmissionControllerComponent(Component):
                     TOPIC_RESERVE,
                     ReserveRequest(
                         txn=txn,
-                        coordinator=self.node,
+                        coordinator=self._node,
                         job_key=job.key,
                         delta=transaction.deltas[node],
                         expiry=job.absolute_deadline,
@@ -713,7 +715,7 @@ class DistributedAdmissionControllerComponent(Component):
 
     def _finish_transaction(self, txn: int, transaction: _Transaction) -> None:
         if self._m_round_trip is not None:
-            self._m_round_trip.observe(self.sim.now - transaction.started)
+            self._m_round_trip.observe(self._sim.now - transaction.started)
         votes = transaction.votes
         all_granted = all(v.granted for v in votes.values())
         condition_sum = 0.0
@@ -725,7 +727,7 @@ class DistributedAdmissionControllerComponent(Component):
         # a few network hops, well inside any deadline.
         expired = (
             transaction.attempt > 0 or self._chaos_armed()
-        ) and job.absolute_deadline <= self.sim.now
+        ) and job.absolute_deadline <= self._sim.now
         if all_granted and not expired:
             task = job.task
             post = {node: votes[node].post_utilization for node in votes}
@@ -768,7 +770,7 @@ class DistributedAdmissionControllerComponent(Component):
         self.admitted_jobs += 1
         if self._m_decisions_accept is not None:
             self._m_decisions_accept.inc()
-            self._m_decision_latency.observe(self.sim.now - job.arrival_time)
+            self._m_decision_latency.observe(self._sim.now - job.arrival_time)
         release_node = assignment[0]
         self._source.push(
             release_node,
@@ -815,7 +817,7 @@ class DistributedAdmissionControllerComponent(Component):
                     TOPIC_RESERVE_BATCH,
                     BatchReserveRequest(
                         txn=txn,
-                        coordinator=self.node,
+                        coordinator=self._node,
                         items=tuple(
                             ReserveItem(
                                 index=i,
@@ -858,7 +860,7 @@ class DistributedAdmissionControllerComponent(Component):
         """Decide every reservation of the round in burst order; the math
         per item is the scalar :meth:`_finish_transaction` verbatim."""
         if self._m_round_trip is not None:
-            self._m_round_trip.observe(self.sim.now - transaction.started)
+            self._m_round_trip.observe(self._sim.now - transaction.started)
         n_items = len(transaction.items)
         # Re-key the per-participant vote vectors by burst index.
         grants: List[Dict[str, bool]] = [{} for _ in range(n_items)]
@@ -879,7 +881,7 @@ class DistributedAdmissionControllerComponent(Component):
             all_granted = all(
                 grants[index].get(node, False) for node in item.participants
             )
-            expired = check_expiry and job.absolute_deadline <= self.sim.now
+            expired = check_expiry and job.absolute_deadline <= self._sim.now
             condition_sum = 0.0
             if all_granted and not expired:
                 post = posts[index]
@@ -918,7 +920,7 @@ class DistributedAdmissionControllerComponent(Component):
             self.admitted_jobs += 1
             if self._m_decisions_accept is not None:
                 self._m_decisions_accept.inc()
-                self._m_decision_latency.observe(self.sim.now - job.arrival_time)
+                self._m_decision_latency.observe(self._sim.now - job.arrival_time)
             release_node = assignment[0]
             self._source.push(
                 release_node,
@@ -941,7 +943,7 @@ class DistributedAdmissionControllerComponent(Component):
         self.rejected_jobs += 1
         if self._m_decisions_reject is not None:
             self._m_decisions_reject.inc()
-            self._m_decision_latency.observe(self.sim.now - event.job.arrival_time)
+            self._m_decision_latency.observe(self._sim.now - event.job.arrival_time)
         self._source.push(
             event.arrival_node,
             reject_topic(event.arrival_node),
@@ -957,7 +959,7 @@ class DistributedAdmissionControllerComponent(Component):
         if self._crashed:
             return
         cost = self.env.cost_model.sample(OP_ADMISSION_TEST, self.env.cost_rng)
-        self.processor.submit(
+        self._processor.submit(
             self._thread, WorkItem(cost, self._vote_on, request)
         )
 
@@ -980,7 +982,7 @@ class DistributedAdmissionControllerComponent(Component):
             self._arm_lock_expiry(request.txn, request.expiry)
         vote = Vote(
             txn=request.txn,
-            node=self.node,
+            node=self._node,
             granted=granted,
             post_utilization=self.utilization if granted else 0.0,
         )
@@ -997,7 +999,7 @@ class DistributedAdmissionControllerComponent(Component):
             self.env.cost_model.sample(OP_ADMISSION_TEST, self.env.cost_rng)
             for _ in request.items
         )
-        self.processor.submit(
+        self._processor.submit(
             self._thread, WorkItem(cost, self._vote_on_batch, request)
         )
 
@@ -1034,7 +1036,7 @@ class DistributedAdmissionControllerComponent(Component):
             post.append(self.utilization if ok else 0.0)
         vote = BatchVote(
             txn=request.txn,
-            node=self.node,
+            node=self._node,
             granted=tuple(granted),
             post_utilization=tuple(post),
         )
@@ -1075,20 +1077,20 @@ class DistributedAdmissionControllerComponent(Component):
         value = self._contribs.get(outcome.job_key, 0.0) + locked
         self._contribs[outcome.job_key] = value
         if self._shadow is not None:
-            self._shadow.add(self.node, outcome.job_key, value)
+            self._shadow.add(self._node, outcome.job_key, value)
         previous_cap = self._caps.get(outcome.job_key)
         cap = outcome.cap if previous_cap is None else min(previous_cap, outcome.cap)
         self._caps[outcome.job_key] = cap
         heapq.heappush(self._cap_heap, (cap, outcome.job_key))
-        self.sim.schedule_at(
-            max(self.sim.now, outcome.expiry), self._expire, outcome.job_key
+        self._sim.schedule_at(
+            max(self._sim.now, outcome.expiry), self._expire, outcome.job_key
         )
 
     def _expire(self, job_key: Tuple[str, int]) -> None:
         value = self._contribs.pop(job_key, None)
         if value is not None:
             if self._shadow is not None:
-                self._shadow.remove(self.node, job_key)
+                self._shadow.remove(self._node, job_key)
             self._total -= value
             if not self._locks and not self._contribs:
                 # Snap to exactly zero so float residue cannot accumulate

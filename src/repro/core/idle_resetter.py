@@ -68,6 +68,8 @@ class IdleResetterComponent(Component):
         self._report_queued = False
         self._thread = None
         self._source: Optional[EventSourcePort] = None
+        #: The ``strategy`` attribute (immutable), cached at activation.
+        self._strategy = "N"
         self.completions_recorded = 0
         self.reports_sent = 0
         self.entries_reported = 0
@@ -90,6 +92,7 @@ class IdleResetterComponent(Component):
                 f"{self.get_attribute('processor_id')!r} does not match "
                 f"deployment node {self.node!r}"
             )
+        self._strategy = self.get_attribute("strategy")
         self.env.idle_resetters[self.node] = self
 
     def provide_complete_facet(self) -> Facet:
@@ -106,13 +109,13 @@ class IdleResetterComponent(Component):
     # ------------------------------------------------------------------
     def complete(self, job: Job, subtask_index: int) -> None:
         """A subjob of ``job`` finished on this processor."""
-        strategy = self.get_attribute("strategy")
+        strategy = self._strategy
         if strategy == "N":
             return
         if strategy == "T" and job.task.is_periodic:
             # Per-task resetting reclaims aperiodic contributions only.
             return
-        now = self.sim.now
+        now = self._sim.now
         if job.absolute_deadline <= now:
             # The contribution is being removed by deadline expiry anyway.
             return
@@ -128,12 +131,12 @@ class IdleResetterComponent(Component):
         cost = self.env.cost_model.sample(OP_IR_REPORT, self.env.cost_rng)
         item = WorkItem(cost, label=f"{self.name}.report")
         item.on_complete = lambda _payload, _item=item: self._flush(_item)
-        self.processor.submit(self._thread, item)
+        self._processor.submit(self._thread, item)
 
     def _flush(self, item: WorkItem) -> None:
         """The idle-detector work ran: report still-live completions."""
         self._report_queued = False
-        now = self.sim.now
+        now = self._sim.now
         entries = tuple(
             entry for entry, deadline in self._pending.items() if deadline > now
         )
@@ -142,8 +145,10 @@ class IdleResetterComponent(Component):
             return
         self.reports_sent += 1
         self.entries_reported += len(entries)
-        event = IdleResettingEvent(node=self.node, entries=entries)
-        self.tracer.record(now, "ir.report", self.node, entries=len(entries))
+        event = IdleResettingEvent(node=self._node, entries=entries)
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.record(now, "ir.report", self._node, entries=len(entries))
         # The report's contribution to overhead is op7 (the idle-time work
         # itself — preemptions of the idle detector by application work are
         # not middleware overhead) plus the communication hop; the AC-side

@@ -57,6 +57,13 @@ class _SubtaskComponentBase(Component):
         self._thread = None
         self._complete_port = Receptacle(self, "ir_complete")
         self.subjobs_executed = 0
+        # Immutable attributes, cached by on_activate for the per-subjob
+        # path.  Set here first: CPython keeps an instance's attributes
+        # compact only when __init__ creates them.
+        self._index = 0
+        self._cost = 0.0
+        self._reports_completions = False
+        self._work_label = ""
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -72,35 +79,40 @@ class _SubtaskComponentBase(Component):
         super().connect_receptacle(port_name, facet)
 
     def on_activate(self) -> None:
-        task_id = self.get_attribute("task_id")
-        index = self.get_attribute("subtask_index")
-        self._thread = self.processor.new_thread(
-            f"{self.name}.dispatch", self.get_attribute("priority")
+        # Declared names only, and activate() has checked the required
+        # ones, so the attribute map is read directly.
+        attributes = self._attributes
+        task_id = attributes["task_id"]
+        index = self._index = attributes["subtask_index"]
+        self._cost = attributes["execution_time"]
+        self._reports_completions = attributes["ir_mode"] != "N"
+        self._work_label = f"{self.name}.subjob"
+        self._thread = self._processor.new_thread(
+            f"{self.name}.dispatch", attributes["priority"]
         )
         if index > 0:
             sink = EventSinkPort(self, "trigger_in", self._on_trigger)
             sink.subscribe(trigger_topic(task_id, index))
-        self.env.subtask_instances[(task_id, index, self.node)] = self
+        self.env.subtask_instances[(task_id, index, self._node)] = self
 
     # ------------------------------------------------------------------
     # Subjob execution
     # ------------------------------------------------------------------
     def release(self, job: Job, assignment: Dict[int, str]) -> None:
         """Dispatch one subjob of ``job`` on this component's thread."""
-        index = self.get_attribute("subtask_index")
-        if assignment.get(index) != self.node:
+        index = self._index
+        if assignment.get(index) != self._node:
             raise ComponentError(
                 f"{self.name!r}: job {job.key} assigned stage {index} to "
-                f"{assignment.get(index)!r}, not this node {self.node!r}"
+                f"{assignment.get(index)!r}, not this node {self._node!r}"
             )
-        cost = self.get_attribute("execution_time")
-        self.processor.submit(
+        self._processor.submit(
             self._thread,
             WorkItem(
-                cost,
+                self._cost,
                 self._subjob_finished,
                 payload=(job, assignment),
-                label=f"{self.name}.subjob",
+                label=self._work_label,
             ),
         )
 
@@ -109,19 +121,21 @@ class _SubtaskComponentBase(Component):
 
     def _subjob_finished(self, payload) -> None:
         job, assignment = payload
-        now = self.sim.now
-        index = self.get_attribute("subtask_index")
+        now = self._sim.now
+        index = self._index
         job.subjob_finish_times[index] = now
         self.subjobs_executed += 1
-        self.tracer.record(
-            now,
-            "subtask.complete",
-            self.node,
-            task=job.task.task_id,
-            job=job.index,
-            stage=index,
-        )
-        if self._complete_port.connected and self.get_attribute("ir_mode") != "N":
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.record(
+                now,
+                "subtask.complete",
+                self._node,
+                task=job.task.task_id,
+                job=job.index,
+                stage=index,
+            )
+        if self._reports_completions and self._complete_port.connected:
             self._complete_port().complete(job, index)
         self._after_subjob(job, assignment, index)
 
@@ -158,13 +172,15 @@ class LastSubtaskComponent(_SubtaskComponentBase):
 
     def _after_subjob(self, job: Job, assignment: Dict[int, str], index: int) -> None:
         job.status = JobStatus.COMPLETED
-        job.completed_at = self.sim.now
+        job.completed_at = now = self._sim.now
         self.env.metrics.on_completion(job)
-        self.tracer.record(
-            self.sim.now,
-            "job.complete",
-            self.node,
-            task=job.task.task_id,
-            job=job.index,
-            response=job.response_time,
-        )
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.record(
+                now,
+                "job.complete",
+                self._node,
+                task=job.task.task_id,
+                job=job.index,
+                response=job.response_time,
+            )

@@ -71,6 +71,8 @@ class TaskEffectorComponent(Component):
         #: Cached per-task decisions: task_id -> (admitted, assignment).
         self._task_cache: Dict[str, Tuple[bool, Optional[Dict[int, str]]]] = {}
         self._source: Optional[EventSourcePort] = None
+        #: The ``ac_node`` attribute (immutable), cached at activation.
+        self._ac_node = ""
         self.jobs_held = 0
         self.jobs_released = 0
         self.jobs_rejected = 0
@@ -92,6 +94,7 @@ class TaskEffectorComponent(Component):
                 f"{self.get_attribute('processor_id')!r} does not match "
                 f"deployment node {self.node!r}"
             )
+        self._ac_node = self.get_attribute("ac_node")
         self.env.task_effectors[self.node] = self
 
     # ------------------------------------------------------------------
@@ -99,32 +102,36 @@ class TaskEffectorComponent(Component):
     # ------------------------------------------------------------------
     def task_arrived(self, job: Job) -> None:
         """A job of ``job.task`` arrived on this processor."""
-        now = self.sim.now
-        self.env.metrics.on_arrival(job)
-        self.tracer.record(
-            now, "te.arrive", self.node, task=job.task.task_id, job=job.index
-        )
+        env = self.env
+        env.metrics.on_arrival(job)
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.record(
+                self._sim.now, "te.arrive", self._node,
+                task=job.task.task_id, job=job.index,
+            )
         task = job.task
-        if task.is_periodic and self.get_attribute("release_mode") == "per_task":
+        # release_mode is mutable at run time, so it is read live.
+        if task.is_periodic and self._attributes["release_mode"] == "per_task":
             cached = self._task_cache.get(task.task_id)
             if cached is not None:
                 self._release_from_cache(job, cached)
                 return
         self.waiting[job.key] = job
         self.jobs_held += 1
-        push_cost = self.env.cost_model.sample(OP_HOLD_AND_PUSH, self.env.cost_rng)
-        self.sim.schedule(push_cost, self._push_task_arrive, job)
+        push_cost = env.cost_model.sample(OP_HOLD_AND_PUSH, env.cost_rng)
+        self._sim.schedule(push_cost, self._push_task_arrive, job)
 
     def _push_task_arrive(self, job: Job) -> None:
         # The job may have been resolved while the hold/push cost elapsed
         # (not possible in the current protocol, but cheap to guard).
         if job.key not in self.waiting:
             return
-        destination = self.get_attribute("ac_node") or self.env.manager_node
+        destination = self._ac_node or self.env.manager_node
         self._source.push(
             destination,
             TOPIC_TASK_ARRIVE,
-            TaskArriveEvent(job=job, arrival_node=self.node),
+            TaskArriveEvent(job=job, arrival_node=self._node),
         )
 
     def _release_from_cache(
@@ -138,9 +145,9 @@ class TaskEffectorComponent(Component):
             return
         assert assignment is not None
         release_node = assignment[0]
-        if release_node == self.node:
+        if release_node == self._node:
             cost = self.env.cost_model.sample(OP_RELEASE, self.env.cost_rng)
-            self.sim.schedule(cost, self._do_release, job, assignment)
+            self._sim.schedule(cost, self._do_release, job, assignment)
         else:
             # The task was re-allocated at admission time; forward the
             # release to the duplicate's TE (one network hop).
@@ -149,7 +156,7 @@ class TaskEffectorComponent(Component):
                 OP_RELEASE_DUPLICATE, self.env.cost_rng
             )
             self.env.network.send(
-                self.node,
+                self._node,
                 release_node,
                 "te_forward_release",
                 (job, assignment),
@@ -158,14 +165,14 @@ class TaskEffectorComponent(Component):
 
     def _forwarded_release(self, payload, cost: float) -> None:
         job, assignment = payload
-        self.sim.schedule(cost, self._do_release, job, assignment)
+        self._sim.schedule(cost, self._do_release, job, assignment)
 
     # ------------------------------------------------------------------
     # Decision events from the admission controller
     # ------------------------------------------------------------------
     def _on_accept(self, event: AcceptEvent) -> None:
         job = event.job
-        if event.arrival_node == self.node:
+        if event.arrival_node == self._node:
             self.waiting.pop(job.key, None)
         else:
             # Re-allocated release: the arrival-node TE must drop its held
@@ -178,11 +185,11 @@ class TaskEffectorComponent(Component):
         self._maybe_cache(job, admitted=True, assignment=dict(event.assignment))
         op = OP_RELEASE_DUPLICATE if event.reallocated else OP_RELEASE
         cost = self.env.cost_model.sample(op, self.env.cost_rng)
-        self.sim.schedule(cost, self._finish_accept, event)
+        self._sim.schedule(cost, self._finish_accept, event)
 
     def _finish_accept(self, event: AcceptEvent) -> None:
         job = event.job
-        delay = self.sim.now - job.arrival_time
+        delay = self._sim.now - job.arrival_time
         lb_enabled = self.env.combo.lb is not LBStrategy.NONE
         self.env.overhead.record_admission_path(
             delay, lb_enabled=lb_enabled, reallocated=event.reallocated
@@ -190,17 +197,20 @@ class TaskEffectorComponent(Component):
         self._do_release(job, dict(event.assignment))
 
     def _do_release(self, job: Job, assignment: Dict[int, str]) -> None:
-        now = self.sim.now
+        now = self._sim.now
+        node = self._node
         job.status = JobStatus.RELEASED
         job.released_at = now
-        job.release_node = self.node
+        job.release_node = node
         job.assignment = dict(assignment)
         self.jobs_released += 1
         self.env.metrics.on_release(job)
-        self.tracer.record(
-            now, "te.release", self.node, task=job.task.task_id, job=job.index
-        )
-        instance = self.env.subtask_instance(job.task.task_id, 0, self.node)
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.record(
+                now, "te.release", node, task=job.task.task_id, job=job.index
+            )
+        instance = self.env.subtask_instance(job.task.task_id, 0, node)
         instance.release(job, assignment)
 
     def _on_reject(self, event: RejectEvent) -> None:
@@ -210,14 +220,16 @@ class TaskEffectorComponent(Component):
         self.jobs_rejected += 1
         self.env.metrics.on_rejection(job)
         self._maybe_cache(job, admitted=False, assignment=None)
-        self.tracer.record(
-            self.sim.now,
-            "te.reject",
-            self.node,
-            task=job.task.task_id,
-            job=job.index,
-            reason=event.reason,
-        )
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.record(
+                self._sim.now,
+                "te.reject",
+                self._node,
+                task=job.task.task_id,
+                job=job.index,
+                reason=event.reason,
+            )
 
     def _note_remote_decision(self, event: AcceptEvent) -> None:
         """Called by the release-node TE when a held job was re-allocated."""
@@ -231,6 +243,6 @@ class TaskEffectorComponent(Component):
     ) -> None:
         if not job.task.is_periodic:
             return
-        if self.get_attribute("release_mode") != "per_task":
+        if self._attributes["release_mode"] != "per_task":
             return
         self._task_cache.setdefault(job.task.task_id, (admitted, assignment))

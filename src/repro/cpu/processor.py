@@ -15,12 +15,16 @@ metrics use them to observe idle periods.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Callable, List, Optional
 
 from repro.cpu.thread import DispatchThread, WorkItem
 from repro.errors import SimulationError
 from repro.sim.kernel import EventHandle, Simulator
 from repro.sim.monitor import TimeWeightedStat
+
+#: Ready-thread order: priority first, FIFO among equal priorities.
+_ready_order = attrgetter("priority", "_ready_seq")
 
 #: Event priority for work-completion events: fire before same-time
 #: arrivals so completions release resources promptly and deterministically.
@@ -121,12 +125,14 @@ class Processor:
             raise SimulationError(
                 f"thread {thread.name} does not belong to processor {self.name}"
             )
-        item.enqueued_at = self.sim.now
-        was_busy = thread.busy
-        thread.queue.append(item)
+        now = self.sim.now
+        item.enqueued_at = now
+        queue = thread.queue
+        was_busy = bool(queue)
+        queue.append(item)
         if not was_busy and thread is not self._running:
             self._make_ready(thread)
-        self._reschedule()
+        self._reschedule(now)
 
     # ------------------------------------------------------------------
     # Internal scheduling machinery
@@ -137,51 +143,49 @@ class Processor:
         self._ready.append(thread)
 
     def _pick_ready(self) -> Optional[DispatchThread]:
-        if not self._ready:
-            return None
-        best = min(self._ready, key=lambda t: (t.priority, t._ready_seq))
-        return best
+        ready = self._ready
+        if len(ready) > 1:
+            return min(ready, key=_ready_order)
+        return ready[0] if ready else None
 
-    def _reschedule(self) -> None:
+    def _reschedule(self, now: float) -> None:
         """Ensure the highest-priority ready/running thread holds the CPU."""
         challenger = self._pick_ready()
-        if self._running is None:
-            if challenger is None:
-                return
-            self._ready.remove(challenger)
-            self._start(challenger)
-            return
         if challenger is None:
             return
-        if challenger.priority < self._running.priority:
-            self._preempt()
+        running = self._running
+        if running is None:
             self._ready.remove(challenger)
-            self._start(challenger)
+            self._start(challenger, now)
+        elif challenger.priority < running.priority:
+            self._preempt(now)
+            self._ready.remove(challenger)
+            self._start(challenger, now)
 
-    def _start(self, thread: DispatchThread) -> None:
-        item = thread.head()
+    def _start(self, thread: DispatchThread, now: float) -> None:
+        item = thread.queue[0]
         if item.started_at is None:
-            item.started_at = self.sim.now
+            item.started_at = now
         self._running = thread
-        self._segment_start = self.sim.now
-        self._busy_stat.update(self.sim.now, 1.0)
-        duration = item.remaining / self.speed
-        self._completion = self.sim.schedule(
-            duration,
+        self._segment_start = now
+        self._busy_stat.update(now, 1.0)
+        # schedule_at(now + d) is what schedule(d) computes.
+        self._completion = self.sim.schedule_at(
+            now + item.remaining / self.speed,
             self._complete,
             thread,
             priority=_COMPLETION_EVENT_PRIORITY,
         )
 
-    def _preempt(self) -> None:
+    def _preempt(self, now: float) -> None:
         """Stop the running thread, crediting the CPU time it consumed."""
         thread = self._running
         assert thread is not None
         assert self._completion is not None
         self._completion.cancel()
         self._completion = None
-        consumed = (self.sim.now - self._segment_start) * self.speed
-        item = thread.head()
+        consumed = (now - self._segment_start) * self.speed
+        item = thread.queue[0]
         item.remaining = max(0.0, item.remaining - consumed)
         self._running = None
         self._make_ready(thread)
@@ -189,25 +193,27 @@ class Processor:
     def _complete(self, thread: DispatchThread) -> None:
         if thread is not self._running:  # pragma: no cover - defensive
             raise SimulationError("completion fired for non-running thread")
+        now = self.sim.now
         item = thread.queue.popleft()
         item.remaining = 0.0
         self._running = None
         self._completion = None
         self.items_completed += 1
-        if thread.busy:
+        if thread.queue:
             self._make_ready(thread)
         # Dispatch the next thread *before* running the completion callback
         # so callbacks observe a consistent CPU state; but record idleness
         # after callbacks may have submitted new work.
-        self._reschedule()
+        self._reschedule(now)
         if item.on_complete is not None:
             item.on_complete(item.payload)
             # The callback may have submitted new work; pick it up.
-            self._reschedule()
+            now = self.sim.now
+            self._reschedule(now)
         if self._running is None and not self._ready:
-            self._busy_stat.update(self.sim.now, 0.0)
+            self._busy_stat.update(now, 0.0)
             for listener in self._idle_listeners:
-                listener(self.sim.now)
+                listener(now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "idle" if self.idle else f"running={self._running}"

@@ -72,11 +72,6 @@ class DispatchThread:
         #: becomes ready; used as a FIFO tie-break between equal priorities.
         self._ready_seq = 0
 
-    @property
-    def busy(self) -> bool:
-        """True when the thread has queued or in-progress work."""
-        return bool(self.queue)
-
     def head(self) -> WorkItem:
         if not self.queue:
             raise SimulationError(f"thread {self.name} has no work")

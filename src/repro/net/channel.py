@@ -23,12 +23,17 @@ class LocalEventChannel:
 
     def subscribe(self, topic: str, consumer: Subscriber) -> None:
         """Register ``consumer`` for all events pushed to ``topic``."""
-        self._subscribers.setdefault(topic, []).append(consumer)
+        # Copy-on-write: a stored list is never mutated in place, so push
+        # iterates it without a copy and still sees the subscribers of the
+        # moment it started, whatever its consumers (un)subscribe.
+        self._subscribers[topic] = self._subscribers.get(topic, []) + [consumer]
 
     def unsubscribe(self, topic: str, consumer: Subscriber) -> None:
         consumers = self._subscribers.get(topic, [])
         if consumer in consumers:
+            consumers = list(consumers)
             consumers.remove(consumer)
+            self._subscribers[topic] = consumers
 
     def subscriber_count(self, topic: str) -> int:
         return len(self._subscribers.get(topic, ()))
@@ -38,7 +43,7 @@ class LocalEventChannel:
 
         Returns the number of subscribers notified.
         """
-        consumers = list(self._subscribers.get(topic, ()))
+        consumers = self._subscribers.get(topic, ())
         for consumer in consumers:
             self.events_delivered += 1
             consumer(payload)

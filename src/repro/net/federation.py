@@ -71,11 +71,7 @@ class FederatedEventChannel:
             channel.push(topic, payload)
             return
         self.remote_forwards += 1
-
-        def _deliver(message: Message) -> None:
-            channel.push(topic, message.payload)
-
-        self.network.send(source, destination, topic, payload, _deliver)
+        self.network.send(source, destination, topic, payload, self._deliver)
 
     def publish(self, source: str, topic: str, payload: Any) -> None:
         """Broadcast push: deliver to ``topic`` subscribers on every node."""
@@ -86,10 +82,9 @@ class FederatedEventChannel:
                 channel.push(topic, payload)
             else:
                 self.remote_forwards += 1
-                self.network.send(
-                    source,
-                    node,
-                    topic,
-                    payload,
-                    lambda message, _ch=channel: _ch.push(topic, message.payload),
-                )
+                self.network.send(source, node, topic, payload, self._deliver)
+
+    def _deliver(self, message: Message) -> None:
+        """Gateway delivery of a forwarded message: push it to the
+        destination node's local channel."""
+        self._channels[message.destination].push(message.topic, message.payload)

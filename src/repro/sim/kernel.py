@@ -91,6 +91,10 @@ def _noop(*_args: Any) -> None:
     return None
 
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+
+
 class Simulator:
     """The discrete-event simulation engine.
 
@@ -158,12 +162,14 @@ class Simulator:
         priority: int = DEFAULT_PRIORITY,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to fire at absolute virtual ``time``."""
-        if math.isnan(time) or time < self._now:
+        # One comparison rejects both past and NaN times (NaN >= x is False).
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time!r} (now={self._now!r})"
             )
-        handle = EventHandle(time, priority, next(self._seq), callback, args)
-        heapq.heappush(self._heap, (time, priority, handle.seq, handle))
+        seq = next(self._seq)
+        handle = EventHandle(time, priority, seq, callback, args)
+        _heappush(self._heap, (time, priority, seq, handle))
         return handle
 
     def schedule_batch(
@@ -204,38 +210,21 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _live_head(self) -> Optional[_HeapEntry]:
-        """The next non-cancelled entry, discarding dead ones on the way.
-
-        This is the single cancellation-check path shared by :meth:`step`
-        and :meth:`run`; the returned entry is still on the heap.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[3]._cancelled:
-                heapq.heappop(heap)
-                continue
-            return entry
-        return None
-
-    def _dispatch(self, entry: _HeapEntry) -> None:
-        heapq.heappop(self._heap)
-        self._now = entry[0]
-        self._event_count += 1
-        handle = entry[3]
-        handle.callback(*handle.args)
-
     def step(self) -> bool:
         """Dispatch the single next event.
 
         Returns ``True`` if an event fired, ``False`` if the queue is empty.
         """
-        entry = self._live_head()
-        if entry is None:
-            return False
-        self._dispatch(entry)
-        return True
+        heap = self._heap
+        while heap:
+            time, _priority, _seq, handle = _heappop(heap)
+            if handle._cancelled:
+                continue
+            self._now = time
+            self._event_count += 1
+            handle.callback(*handle.args)
+            return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
@@ -244,20 +233,34 @@ class Simulator:
         When ``until`` is given, the clock is advanced to exactly ``until``
         at the end of the run even if the last event fired earlier, so
         time-weighted statistics close their final interval consistently.
+
+        Cancelled entries are discarded as they reach the head of the
+        heap, also beyond ``until``.  A live entry past ``until`` is
+        popped and pushed back; the heap's order is total on
+        ``(time, priority, seq)``, so dispatch order does not depend on
+        its layout.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
+        heap = self._heap
+        horizon = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
         dispatched = 0
         try:
-            while max_events is None or dispatched < max_events:
-                entry = self._live_head()
-                if entry is None:
+            while heap and dispatched < limit:
+                entry = _heappop(heap)
+                handle = entry[3]
+                if handle._cancelled:
+                    continue
+                time = entry[0]
+                if time > horizon:
+                    _heappush(heap, entry)
                     break
-                if until is not None and entry[0] > until:
-                    break
-                self._dispatch(entry)
+                self._now = time
+                self._event_count += 1
                 dispatched += 1
+                handle.callback(*handle.args)
             if until is not None and until > self._now:
                 self._now = until
         finally:

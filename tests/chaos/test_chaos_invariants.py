@@ -222,3 +222,25 @@ def test_idle_injector_is_bit_identical_to_no_injector():
     system = idle.deploy()
     system.install_fault_injector(FaultInjector(system.rngs))
     assert baseline.to_json_str() == idle.run().to_json_str()
+
+
+def test_every_fault_kind_arms_the_injector():
+    # ``armed`` is a field each add_* method sets (Network.send reads it
+    # on every remote send).  A new add_* method must be listed here, so
+    # one that forgets to arm the injector cannot go unnoticed.
+    from repro.net.fault import FaultInjector
+    from repro.sim.rng import RngRegistry
+
+    samples = {
+        "add_crash": ("app1", 1.0, 2.0),
+        "add_partition": (1.0, 2.0, ("app1",), ("app2",)),
+        "add_delay_spike": (1.0, 2.0, 3.0),
+        "add_message_loss": (0.1,),
+    }
+    adders = {name for name in vars(FaultInjector) if name.startswith("add_")}
+    assert adders == set(samples)
+    for name, args in samples.items():
+        injector = FaultInjector(RngRegistry(2008))
+        assert not injector.armed
+        getattr(injector, name)(*args)
+        assert injector.armed, name

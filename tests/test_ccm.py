@@ -146,6 +146,29 @@ class TestContainer:
         with pytest.raises(ComponentError):
             _ = w.node
 
+    @pytest.mark.parametrize("accessor", ["sim", "node", "processor", "tracer"])
+    def test_every_checked_accessor_raises_before_install(self, accessor):
+        with pytest.raises(ComponentError):
+            getattr(Widget("w"), accessor)
+
+    def test_install_binds_the_containers_environment(self):
+        container = make_container("n7")
+        w = container.install(Widget("w"))
+        bound = (w._node, w._sim, w._processor, w._tracer)
+        expected = (
+            container.node, container.sim, container.processor, container.tracer,
+        )
+        assert all(a is b for a, b in zip(bound, expected))
+        assert bound[0] == "n7"
+        # The checked accessors still answer, and agree with the fields.
+        assert (w.node, w.sim, w.processor, w.tracer) == bound
+
+    def test_accessors_stay_properties_and_get_attribute_a_method(self):
+        # Per-layer tracing patches these on Component by name.
+        for name in ("sim", "node", "processor", "tracer"):
+            assert isinstance(Component.__dict__[name], property)
+        assert callable(Component.__dict__["get_attribute"])
+
 
 # ----------------------------------------------------------------------
 # Ports
