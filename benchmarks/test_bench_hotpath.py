@@ -31,10 +31,12 @@ wall-clock:
   (``test_bench_fault_injection``); the chaos layer must cost <5% on
   the messaging hot path when no faults are declared.
 
-Prints a table and writes ``BENCH_hotpath.json`` at the repo root so the
-numbers are comparable across PRs (``benchmarks/plot_trajectory.py``
-collects them into ``docs/BENCH_TRAJECTORY.md``).  Acceptance floors
-asserted here: incremental admission >= 5x naive, batched burst
+Prints a table and writes the fresh record to
+``.bench/BENCH_hotpath.latest.json`` (git-ignored; see
+``conftest.update_hotpath_record``).  CI gates it against the committed
+``BENCH_hotpath.json``, whose git history ``benchmarks/plot_trajectory.py``
+renders into ``docs/BENCH_TRAJECTORY.md``.  Acceptance floors asserted
+here: incremental admission >= 5x naive, batched burst
 admission >= 3x the per-arrival incremental path, and batched placement
 >= 3x per-candidate probing, all at 1000 registered tasks.
 
@@ -43,12 +45,10 @@ grid for smoke runs; floors only apply when their scale is measured.
 """
 
 import gc
-import json
 import os
 import random
 import statistics
 import time
-from pathlib import Path
 
 from repro.core.load_balancer import LoadBalancerComponent
 from repro.metrics.histogram import Histogram
@@ -64,8 +64,7 @@ from repro.sched.task import Job, SubtaskSpec, TaskKind, TaskSpec
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULT_FILE = REPO_ROOT / "BENCH_hotpath.json"
+from conftest import update_hotpath_record
 
 #: Registered-task scales for the admission benchmarks (env-reducible).
 SCALES = tuple(
@@ -645,15 +644,8 @@ def test_bench_fault_injection():
         f"({(fault_injection['overhead_ratio'] - 1.0) * 100.0:+.1f}%)"
     )
 
-    record = {}
-    if RESULT_FILE.exists():
-        try:
-            record = json.loads(RESULT_FILE.read_text())
-        except json.JSONDecodeError:
-            record = {}
-    record["fault_injection"] = fault_injection
-    RESULT_FILE.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"  wrote {RESULT_FILE.name}")
+    written = update_hotpath_record({"fault_injection": fault_injection})
+    print(f"  wrote {written.name}")
 
     # The chaos layer's standing cost on fault-free runs: an installed
     # but idle injector may add at most 5% to the messaging hot path.
@@ -798,15 +790,7 @@ def _run_bench_hotpath():
         f"({ledger_sharded['batch_speedup']:.1f}x)"
     )
 
-    # Merge over any existing artifact so sections written by other
-    # benchmarks (e.g. distributed_round) survive regardless of order.
-    record = {}
-    if RESULT_FILE.exists():
-        try:
-            record = json.loads(RESULT_FILE.read_text())
-        except json.JSONDecodeError:
-            record = {}
-    record.update(
+    written = update_hotpath_record(
         {
             "kernel_events_per_sec": kernel_rate,
             "admission": admission,
@@ -816,8 +800,7 @@ def _run_bench_hotpath():
             "ledger_sharded": ledger_sharded,
         }
     )
-    RESULT_FILE.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"  wrote {RESULT_FILE.name}")
+    print(f"  wrote {written.name}")
 
     if "1000" in admission:
         # Acceptance floor: the incremental engine must dominate at scale.

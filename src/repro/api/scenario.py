@@ -18,6 +18,7 @@ describes a runnable deployment or refuses to exist.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -26,6 +27,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 from repro.api.registry import default_registry
 from repro.core.cost_model import CostModel
 from repro.core.strategies import StrategyCombo
+from repro.env import sanitize_enabled
 from repro.errors import ConfigurationError
 from repro.net.latency import (
     ConstantDelay,
@@ -34,6 +36,7 @@ from repro.net.latency import (
     TriangularDelay,
     UniformDelay,
 )
+from repro.sanitize import check_cached_workload
 from repro.sched.task import SubtaskSpec, TaskKind, TaskSpec
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import RandomWorkloadParams, generate_random_workload
@@ -291,21 +294,20 @@ class WorkloadSource:
 
     # -- materialization ------------------------------------------------
     def materialize(self) -> Workload:
-        """The concrete workload this source denotes."""
+        """The concrete workload this source denotes.
+
+        A generated workload is built once per process and shared by
+        every equal source (see :data:`WORKLOAD_CACHE_SIZE`).
+        """
         if self.kind == SOURCE_EXPLICIT:
             assert self.workload is not None  # enforced by __post_init__
             return self.workload
-        assert self.seed is not None  # enforced by __post_init__
-        rng = RngRegistry(self.seed).stream(self.stream)
-        generate = (
-            generate_random_workload
-            if self.kind == SOURCE_RANDOM
-            else generate_imbalanced_workload
-        )
-        # Draw index+1 workloads so shared-stream grids reproduce exactly.
-        for _ in range(self.index):
-            generate(rng, self.params)
-        return generate(rng, self.params)
+        workload = _generated_workload(self)
+        if sanitize_enabled():
+            check_cached_workload(
+                repr(self), workload, _generated_workload.__wrapped__(self)
+            )
+        return workload
 
     # -- JSON ------------------------------------------------------------
     def to_json(self) -> Dict[str, Any]:
@@ -355,6 +357,32 @@ class WorkloadSource:
             stream=data.get("stream", "task_sets"),
             params=params,
         )
+
+
+#: Generated workloads kept per process: room for the 16 distinct task
+#: sets of a paper grid, each of which runs under all 15 strategy combos.
+WORKLOAD_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=WORKLOAD_CACHE_SIZE)
+def _generated_workload(source: WorkloadSource) -> Workload:
+    """Generate the workload of a ``random`` or ``imbalanced`` source.
+
+    Memoized on the frozen source value.  Sharing the result is safe: a
+    :class:`Workload` and its task specs are frozen dataclasses built from
+    tuples, and the generators are pure functions of the source's fields.
+    """
+    assert source.seed is not None  # enforced by WorkloadSource.__post_init__
+    rng = RngRegistry(source.seed).stream(source.stream)
+    generate = (
+        generate_random_workload
+        if source.kind == SOURCE_RANDOM
+        else generate_imbalanced_workload
+    )
+    # Draw index+1 workloads so shared-stream grids reproduce exactly.
+    for _ in range(source.index):
+        generate(rng, source.params)
+    return generate(rng, source.params)
 
 
 # ----------------------------------------------------------------------

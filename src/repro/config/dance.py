@@ -118,6 +118,9 @@ class ExecutionManager:
     def __init__(self, repository: ComponentRepository) -> None:
         self.repository = repository
         self.node_applications: Dict[str, NodeApplication] = {}
+        # instance id -> component, filled at install; on a repeated id
+        # the first node application (in plan order) keeps it.
+        self._components: Dict[str, Component] = {}
 
     def prepare_plan(self, plan: DeploymentPlan) -> Dict[str, NodeImplementationInfo]:
         infos: Dict[str, NodeImplementationInfo] = {
@@ -138,13 +141,18 @@ class ExecutionManager:
             if container is None:
                 raise DeploymentError(f"no container available on node {node!r}")
             manager = NodeApplicationManager(info)
-            self.node_applications[node] = manager.start(container, self.repository)
+            app = manager.start(container, self.repository)
+            self.node_applications[node] = app
+            for instance_id, component in app.installed.items():
+                self._components.setdefault(instance_id, component)
 
     def component(self, instance_id: str) -> Component:
-        for app in self.node_applications.values():
-            if instance_id in app.installed:
-                return app.installed[instance_id]
-        raise DeploymentError(f"no installed component {instance_id!r}")
+        try:
+            return self._components[instance_id]
+        except KeyError:
+            raise DeploymentError(
+                f"no installed component {instance_id!r}"
+            ) from None
 
     def establish_connections(self, plan: DeploymentPlan) -> None:
         """Wire facet/receptacle connections from the plan.

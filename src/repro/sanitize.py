@@ -3,7 +3,7 @@
 The static pass (``tools/repro_lint``) catches non-determinism *patterns*;
 this module **proves the invariants at runtime** on every CI run.  With
 ``REPRO_SANITIZE=1`` in the environment (read through :mod:`repro.env`,
-the designated entry point), four independent cross-checks arm
+the designated entry point), five independent cross-checks arm
 themselves at the hook points named below.  Each failure raises
 :class:`SanitizeViolation` with the exact divergence, so a regression is
 caught at the first corrupted value instead of surfacing runs later as a
@@ -36,6 +36,13 @@ parity mismatch.
    moved without an attributed draw being recorded (someone drew from a
    stream behind the wrapper's back).
 
+5. **Workload cache cross-check** (:func:`check_cached_workload`, hooked
+   into :meth:`repro.api.WorkloadSource.materialize`): every generated
+   workload served from the per-process cache is regenerated from its
+   source and must compare equal to the cached one, so a generator that
+   stopped being a pure function of the source fields is caught at the
+   first shared task set.
+
 Overhead is deliberately unbounded-but-logged: the sanitizer exists for
 the CI ``sanitize`` leg and for debugging, not for production runs (the
 tier-1 suite runs ~2x slower under it; see docs/LINTING.md for current
@@ -58,6 +65,7 @@ __all__ = [
     "pickle_canary",
     "LedgerShadow",
     "RngDrawLedger",
+    "check_cached_workload",
 ]
 
 #: Absolute slack allowed between a shard's incrementally maintained
@@ -222,3 +230,29 @@ class RngDrawLedger:
                 "a draw being recorded — draw through the named stream "
                 "returned by RngRegistry.stream(), never the raw Random"
             )
+
+
+# ----------------------------------------------------------------------
+# 5. Workload cache cross-check
+# ----------------------------------------------------------------------
+def check_cached_workload(what: str, cached: Any, fresh: Any) -> None:
+    """Assert a cached workload equals a fresh regeneration of ``what``.
+
+    Raises :class:`SanitizeViolation` naming the first task that differs
+    (or the topology, when every task matches).
+    """
+    if cached == fresh:
+        return
+    diverged = next(
+        (
+            f"task {old.task_id!r} is {old!r}, regenerated {new!r}"
+            for old, new in zip(cached.tasks, fresh.tasks)
+            if old != new
+        ),
+        f"cached {cached!r}, regenerated {fresh!r}",
+    )
+    raise SanitizeViolation(
+        f"sanitize: cached workload of {what} differs from a fresh "
+        f"regeneration ({diverged}); its generator is not a pure function "
+        "of the source fields"
+    )

@@ -3,7 +3,7 @@
 The positive half proves the sanitizer is pure observation: a full API run
 under ``REPRO_SANITIZE=1`` completes with zero violations and produces a
 bit-identical result to the unsanitized run.  The negative half injects a
-deliberate fault behind each of the four checks and requires the exact
+deliberate fault behind each of the five checks and requires the exact
 :class:`~repro.sanitize.SanitizeViolation` to fire — a sanitizer that
 cannot catch its target bug is just overhead.
 """
@@ -14,11 +14,13 @@ import threading
 
 import pytest
 
-from repro.api import Scenario, Session
+from repro.api import Scenario, Session, WorkloadSource
+from repro.api import scenario as scenario_module
 from repro.sanitize import (
     LedgerShadow,
     RngDrawLedger,
     SanitizeViolation,
+    check_cached_workload,
     pickle_canary,
 )
 from repro.sched.aub import AubAnalyzer, SyntheticUtilizationLedger
@@ -208,3 +210,49 @@ class TestRngDrawAttribution:
         ledger.baseline("b", state=(3, 4))
         with pytest.raises(SanitizeViolation, match=r"\['b'\]"):
             ledger.audit([("a", (1, 2)), ("b", (9, 9))])
+
+
+# ----------------------------------------------------------------------
+# Negative 5: workload cache cross-check
+# ----------------------------------------------------------------------
+class TestWorkloadCacheCrossCheck:
+    @pytest.fixture
+    def impure_generator(self, monkeypatch):
+        """A generator whose output depends on how often it ran."""
+        real = scenario_module.generate_random_workload
+        calls = []
+
+        def impure(rng, params=None):
+            calls.append(None)
+            for _ in calls:
+                rng.random()
+            return real(rng, params)
+
+        monkeypatch.setattr(scenario_module, "generate_random_workload", impure)
+        scenario_module._generated_workload.cache_clear()
+        yield
+        scenario_module._generated_workload.cache_clear()
+
+    def test_impure_generator_is_caught(self, sanitize, impure_generator):
+        source = WorkloadSource.random(seed=11)
+        with pytest.raises(SanitizeViolation, match="cached workload of"):
+            source.materialize()
+
+    def test_without_sanitize_the_cached_workload_is_served(
+        self, monkeypatch, impure_generator
+    ):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        source = WorkloadSource.random(seed=11)
+        assert source.materialize() is source.materialize()
+
+    def test_clean_cache_is_silent(self, sanitize):
+        source = WorkloadSource.random(seed=12, index=1)
+        assert source.materialize() is source.materialize()
+
+    def test_violation_names_the_first_diverging_task(self):
+        workload = WorkloadSource.random(seed=13).materialize()
+        drifted = WorkloadSource.random(seed=14).materialize()
+        first = workload.tasks[0].task_id
+        with pytest.raises(SanitizeViolation, match=f"task '{first}'"):
+            check_cached_workload("source", workload, drifted)
+
