@@ -8,8 +8,4 @@ setup(
     # mypy --strict in CI; see mypy.ini and docs/LINTING.md).
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
-    # The core install is dependency-free pure Python.  numpy only
-    # accelerates the bulk f(U) evaluation on large batches; decisions
-    # are bit-identical either way (see docs/PERFORMANCE.md).
-    extras_require={"fast": ["numpy"]},
 )

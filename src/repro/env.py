@@ -10,9 +10,8 @@ layer accepts plain parameters and lets its caller resolve them here.
 The helpers below are the complete catalogue of runtime environment
 knobs the library honors (benchmark- and test-only knobs such as
 ``REPRO_BENCH_*`` live with their harnesses, which are outside the
-library).  Each knob is read at its use site's entry point — not cached
-at import — except where the consumer itself binds the value at import
-time (the numpy gate in :mod:`repro.sched.aub`).
+library).  Each knob is read at its use site's entry point, never
+cached at import.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from typing import Optional
 
 #: Worker-count override for the experiment fan-out (``run_cells``).
 WORKERS_VAR = "REPRO_WORKERS"
-
-#: Force the scalar f(U) path even when numpy is importable.
-PURE_PYTHON_VAR = "REPRO_PURE_PYTHON"
 
 #: Enable the runtime determinism sanitizer (see :mod:`repro.sanitize`).
 SANITIZE_VAR = "REPRO_SANITIZE"
@@ -37,15 +33,6 @@ def flag(name: str, default: bool = False) -> bool:
     if raw is None:
         return default
     return raw not in ("", "0")
-
-
-def pure_python_forced() -> bool:
-    """True when ``$REPRO_PURE_PYTHON`` disables the numpy bulk path.
-
-    Results are bit-identical either way (see ``aub_terms_bulk``); the
-    knob exists so both paths can be exercised on one machine.
-    """
-    return flag(PURE_PYTHON_VAR)
 
 
 def sanitize_enabled() -> bool:

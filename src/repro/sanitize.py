@@ -3,7 +3,7 @@
 The static pass (``tools/repro_lint``) catches non-determinism *patterns*;
 this module **proves the invariants at runtime** on every CI run.  With
 ``REPRO_SANITIZE=1`` in the environment (read through :mod:`repro.env`,
-the designated entry point), five independent cross-checks arm
+the designated entry point), six independent cross-checks arm
 themselves at the hook points named below.  Each failure raises
 :class:`SanitizeViolation` with the exact divergence, so a regression is
 caught at the first corrupted value instead of surfacing runs later as a
@@ -43,6 +43,15 @@ parity mismatch.
    stopped being a pure function of the source fields is caught at the
    first shared task set.
 
+6. **Batch screen clearance** (:func:`check_screen_cleared`, hooked into
+   the shared screen of :meth:`repro.sched.aub.AubAnalyzer.admissible_batch`
+   and :meth:`~repro.sched.aub.AubAnalyzer.batch_session`): the screen
+   drops every registration it clears from the violating set without
+   refreshing it, on the argument that the worst-case totals it
+   screened against bound the current ones.  Armed, every cleared
+   registration's visit-order condition total is recomputed from the
+   ledger and must not exceed ``1 + EPSILON``.
+
 Overhead is deliberately unbounded-but-logged: the sanitizer exists for
 the CI ``sanitize`` leg and for debugging, not for production runs (the
 tier-1 suite runs ~2x slower under it; see docs/LINTING.md for current
@@ -55,7 +64,7 @@ from __future__ import annotations
 
 import math
 import pickle
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.env import sanitize_enabled
 
@@ -66,6 +75,7 @@ __all__ = [
     "LedgerShadow",
     "RngDrawLedger",
     "check_cached_workload",
+    "check_screen_cleared",
 ]
 
 #: Absolute slack allowed between a shard's incrementally maintained
@@ -256,3 +266,31 @@ def check_cached_workload(what: str, cached: Any, fresh: Any) -> None:
         f"regeneration ({diverged}); its generator is not a pure function "
         "of the source fields"
     )
+
+
+# ----------------------------------------------------------------------
+# 6. Batch screen clearance
+# ----------------------------------------------------------------------
+def check_screen_cleared(
+    cleared: Iterable[Tuple[Tuple[str, int], Sequence[str]]],
+    term: Callable[[str], float],
+    bound: float,
+) -> None:
+    """Assert every ``(key, visits)`` the batch screen cleared holds
+    condition (1) now: its visit-order sum of fresh ``term(node)`` values
+    must not exceed ``bound``.
+
+    Raises :class:`SanitizeViolation` naming the first registration over
+    the bound.
+    """
+    for key, visits in cleared:
+        total = 0.0
+        for node in visits:
+            total += term(node)
+        if total > bound:
+            raise SanitizeViolation(
+                f"sanitize: the batch screen cleared registration {key!r}, "
+                f"but its condition total under the current ledger is "
+                f"{total!r} > {bound!r}; the screen's worst-case totals did "
+                "not bound the current ones"
+            )

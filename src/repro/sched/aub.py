@@ -47,12 +47,6 @@ Two analyzer implementations share the same API:
   reference implementation: property tests assert the incremental engine
   makes bit-identical decisions — per call *and* per batch — and the
   hot-path benchmark measures the speedup against it.
-
-When numpy is available the per-node ``f(U_j)`` term math (the batch
-screen's worst-case terms and the dirty-refresh term fill) runs as one
-vectorized pass over the ledger's per-node totals (:func:`aub_terms_bulk`);
-the pure-python loop is retained when numpy is absent or
-``REPRO_PURE_PYTHON`` is set, and both produce bit-identical floats.
 """
 
 from __future__ import annotations
@@ -71,25 +65,14 @@ from typing import (
     Tuple,
 )
 
-from repro.env import pure_python_forced, sanitize_enabled
+from repro.env import sanitize_enabled
 from repro.errors import SchedulingError
-from repro.sanitize import LedgerShadow, SanitizeViolation
+from repro.sanitize import (
+    LedgerShadow,
+    SanitizeViolation,
+    check_screen_cleared,
+)
 from repro.sim.monitor import TimeWeightedStat
-
-# numpy is an optional accelerator (the ``fast`` extra): the per-node
-# f(U) term math vectorizes over the sharded ledger's contiguous totals.
-# Setting REPRO_PURE_PYTHON forces the scalar path even when numpy is
-# installed, so both paths can be exercised on one machine; results are
-# bit-identical either way (see ``aub_terms_bulk``).
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-if pure_python_forced():
-    _np = None
-
-#: Below this many values the scalar loop beats the array round-trip.
-_BULK_MIN = 16
 
 #: Numeric slack for condition comparisons, so contributions that sum to
 #: exactly the bound are not rejected by floating-point noise.
@@ -145,42 +128,6 @@ def aub_term_inverse(t: float) -> float:
     if math.isinf(t):
         return 1.0
     return 2.0 * t / ((1.0 + t) + math.hypot(1.0, t))
-
-
-def _aub_terms_python(values: Sequence[float]) -> List[float]:
-    return [aub_term(u) for u in values]
-
-
-def _aub_terms_numpy(values: Sequence[float]) -> List[float]:
-    arr = _np.asarray(values, dtype=_np.float64)
-    if (arr < 0.0).any():
-        bad = float(arr[arr < 0.0][0])
-        raise SchedulingError(f"synthetic utilization cannot be negative: {bad}")
-    saturated = arr >= 1.0
-    any_saturated = bool(saturated.any())
-    # Saturated entries are masked to 0 before the division (their result
-    # is overwritten with +inf), so no divide-by-zero is ever evaluated.
-    safe = _np.where(saturated, 0.0, arr) if any_saturated else arr
-    terms = safe * (1.0 - safe / 2.0) / (1.0 - safe)
-    if any_saturated:
-        terms[saturated] = _np.inf
-    return terms.tolist()
-
-
-def aub_terms_bulk(values: Sequence[float]) -> List[float]:
-    """Vectorized :func:`aub_term` over many utilizations.
-
-    Elementwise IEEE-754 double arithmetic evaluates the same expression
-    ``u * (1 - u/2) / (1 - u)`` the scalar function uses, so the results
-    are **bit-identical** to ``[aub_term(u) for u in values]`` — numpy
-    only changes how fast the terms are produced, never their values.
-    Falls back to the scalar loop when numpy is absent (or disabled via
-    ``REPRO_PURE_PYTHON``) or when the input is too small to amortize the
-    array round-trip.
-    """
-    if _np is None or len(values) < _BULK_MIN:
-        return _aub_terms_python(values)
-    return _aub_terms_numpy(values)
 
 
 def task_condition_holds(visit_utils: Sequence[float]) -> bool:
@@ -560,55 +507,102 @@ class AubAnalyzer:
             self._node_terms[node] = term
         return term
 
-    def _prime_node_terms(self, nodes: Iterable[str]) -> None:
-        """Batch-fill the ``f(U_j)`` cache for the given nodes.
-
-        One :func:`aub_terms_bulk` pass (vectorized under numpy) computes
-        every term missing from the cache; subsequent :meth:`_term` calls
-        are pure cache hits.  The cached values are bit-identical to the
-        ones the scalar path would have produced one at a time.
-        """
-        node_terms = self._node_terms
-        missing: List[str] = []
-        seen: Set[str] = set()
-        for node in nodes:
-            if node not in node_terms and node not in seen:
-                seen.add(node)
-                missing.append(node)
-        if not missing:
-            return
-        ledger = self.ledger
-        utils = [ledger.utilization_or_zero(node) for node in missing]
-        for node, term in zip(missing, aub_terms_bulk(utils)):
-            node_terms[node] = term
-
     def _refresh_dirty(self) -> None:
         """Recompute cached condition totals for stale registrations."""
-        if len(self._dirty) >= _BULK_MIN:
-            # Vectorized term refresh: fill the f(U_j) cache for every
-            # node the stale registrations visit in one bulk pass, so the
-            # per-task loop below never computes a term scalar-by-scalar.
-            visits = self._visits
-            self._prime_node_terms(
-                node
-                for key in self._dirty
-                for entry in (visits.get(key),)
-                if entry is not None
-                for node in entry[0]
-            )
-        while self._dirty:
-            key = self._dirty.pop()
-            entry = self._visits.get(key)
+        if self._dirty:
+            self._refresh(self._dirty)
+
+    def _refresh(self, stale: Set[Tuple[str, int]]) -> None:
+        """Recompute the visit-order condition total of every key in
+        ``stale`` (consuming the set) and its membership of the violating
+        set."""
+        visits = self._visits
+        node_terms = self._node_terms
+        task_totals = self._task_totals
+        violating = self._violating
+        bound = 1.0 + EPSILON
+        while stale:
+            key = stale.pop()
+            entry = visits.get(key)
             if entry is None:
                 continue
             total = 0.0
             for node in entry[0]:
-                total += self._term(node)
-            self._task_totals[key] = total
-            if total > 1.0 + EPSILON:
-                self._violating.add(key)
+                term = node_terms.get(node)
+                total += self._term(node) if term is None else term
+            task_totals[key] = total
+            if total > bound:
+                violating.add(key)
             else:
-                self._violating.discard(key)
+                violating.discard(key)
+
+    def _screen_and_refresh(
+        self, umax: Mapping[str, float]
+    ) -> Tuple[Set[Tuple[str, int]], Dict[str, float]]:
+        """Screen the registrations on a burst's nodes against its
+        worst-case totals, then refresh the stale keys the screen did not
+        clear.
+
+        ``umax`` maps every node the burst can touch to a total at least
+        its current ledger total (the current total plus the burst's
+        non-negative demand there).  Each registration visiting one of
+        those nodes is summed once in visit order, with ``f`` at ``umax``
+        on burst nodes and at the current total elsewhere.  ``f`` is
+        monotone, so any state the burst can produce lies at or below
+        these terms node-wise; a registration whose sum stays within
+        ``1 + EPSILON - SCREEN_GUARD`` is *cleared*: no candidate of the
+        burst can make it fail, and (the current totals being one such
+        state) it does not violate the bound now either.  The guard
+        absorbs the ulp-scale wobble of float monotonicity.
+
+        A cleared key therefore leaves the violating set without an exact
+        refresh; when stale it stays dirty, so its cached total is never
+        wrong, only unrefreshed, until an exact refresh reaches it.  Every
+        other stale key is refreshed exactly, so afterwards the violating
+        set is exactly the set of registrations over the bound, as after
+        :meth:`_refresh_dirty`.
+
+        Returns the registrations the screen could not clear (the burst's
+        watch list) and the ``f`` terms it read per node, which the burst
+        reuses to screen its own accepted candidates.
+        """
+        screen_terms = {node: aub_term(u) for node, u in umax.items()}
+        by_node = self._by_node
+        to_screen: Set[Tuple[str, int]] = set()
+        for node in umax:
+            keys = by_node.get(node)
+            if keys:
+                to_screen.update(keys)
+        registry = self._visits
+        screen_bound = 1.0 + EPSILON - SCREEN_GUARD
+        watch: Set[Tuple[str, int]] = set()
+        for key in to_screen:
+            total = 0.0
+            for node in registry[key][0]:
+                term = screen_terms.get(node)
+                if term is None:
+                    term = screen_terms[node] = self._term(node)
+                total += term
+                if total > screen_bound:
+                    watch.add(key)
+                    break
+        cleared = to_screen - watch
+        if cleared:
+            self._violating -= cleared
+            # Cleared keys stay dirty; only the others are refreshed now.
+            stale = self._dirty - cleared
+            self._dirty &= cleared
+            if self._sanitize:
+                ledger = self.ledger
+                check_screen_cleared(
+                    [(key, registry[key][0]) for key in sorted(cleared)],
+                    lambda node: aub_term(ledger.utilization_or_zero(node)),
+                    1.0 + EPSILON,
+                )
+            self._refresh(stale)
+        else:
+            self._refresh_dirty()
+        return watch, screen_terms
 
     def _sanitize_audit_caches(self) -> None:
         """Cached ``f(U_j)`` terms and clean task totals vs a fresh
@@ -838,31 +832,28 @@ class AubAnalyzer:
         stage contributions in candidate order, then ``register()`` each).
 
         The batch amortizes everything the per-arrival path pays per
-        arrival.  Prune and dirty-refresh run once.  Then the **shared
-        hypothetical totals screen** runs once: the worst-case per-node
-        totals ``U_max`` (current totals plus *every* candidate's stage
-        deltas) are built in one pass, and every registered task on a
-        burst-touched node is evaluated once against them.  Burst deltas
-        are non-negative and ``f`` is monotone, so any hypothetical state
-        a candidate can produce lies at or below ``U_max`` node-wise — a
-        task whose condition holds under ``U_max`` (by at least
-        :data:`SCREEN_GUARD`, which absorbs ulp-scale float wobble) can
-        never fail inside this batch and is exempted from every
-        per-candidate rescan.  Only the tasks the screen puts on watch
-        are re-evaluated exactly, per candidate, with the same floats the
-        sequential path would compute.  An accepted candidate costs
-        O(changed nodes) overlay updates plus its own one-off screen —
-        no ledger mutation, so no cache invalidation and no re-refresh
-        storm between candidates.
+        arrival.  Prune runs once.  Then the **shared hypothetical
+        totals screen** runs once (:meth:`_screen_and_refresh`, which
+        also refreshes the stale keys it does not clear): the worst-case
+        per-node totals ``U_max`` (current totals plus *every*
+        candidate's stage deltas) are built in one pass, and every
+        registered task on a burst-touched node is evaluated once
+        against them.  Burst deltas are non-negative and ``f`` is
+        monotone, so any hypothetical state a candidate can produce lies
+        at or below ``U_max`` node-wise — a task whose condition holds
+        under ``U_max`` (by at least :data:`SCREEN_GUARD`, which absorbs
+        ulp-scale float wobble) can never fail inside this batch and is
+        exempted from every per-candidate rescan.  Only the tasks the
+        screen puts on watch are re-evaluated exactly, per candidate,
+        with the same floats the sequential path would compute.  An
+        accepted candidate costs O(changed nodes) overlay updates plus its
+        own one-off screen — no ledger mutation, so no cache invalidation
+        and no re-refresh storm between candidates.
         """
         if self._sanitize:
             self._sanitize_audit_caches()
         self.prune(now)
-        self._refresh_dirty()
         ledger = self.ledger
-        by_node = self._by_node
-        registry = self._visits
-        violating = self._violating
         # ---- one-pass screen: shared worst-case hypothetical totals ----
         umax: Dict[str, float] = {}
         for cand in candidates:
@@ -871,33 +862,11 @@ class AubAnalyzer:
                 if base is None:
                     base = ledger.utilization_or_zero(node)
                 umax[node] = base + value
-        # Vectorized f over the shared worst-case totals (values are
-        # bit-identical to the scalar loop; see aub_terms_bulk).
-        umax_terms = dict(zip(umax, aub_terms_bulk(list(umax.values()))))
+        watch, screen_terms = self._screen_and_refresh(umax)
         screen_bound = 1.0 + EPSILON - SCREEN_GUARD
-        watch: Set[Tuple[str, int]] = set()
-        to_screen: Set[Tuple[str, int]] = set()
-        for node in umax:
-            keys = by_node.get(node)
-            if keys:
-                to_screen.update(keys)
-        if len(to_screen) >= _BULK_MIN:
-            # The screen falls back to current-state terms for visited
-            # nodes outside the burst; bulk-fill those in one pass too.
-            self._prime_node_terms(
-                node
-                for key in to_screen
-                for node in registry[key][0]
-                if node not in umax_terms
-            )
-        for key in to_screen:
-            total = 0.0
-            for node in registry[key][0]:
-                term = umax_terms.get(node)
-                total += self._term(node) if term is None else term
-                if total > screen_bound:
-                    watch.add(key)
-                    break
+        by_node = self._by_node
+        registry = self._visits
+        violating = self._violating
         # Batch-local overlay over the ledger: running totals for nodes an
         # accepted candidate touched, cached f() terms for those nodes,
         # and a node -> watched-accepted-candidate reverse index (accepted
@@ -1017,7 +986,7 @@ class AubAnalyzer:
                 total = 0.0
                 watched = False
                 for node in visits:
-                    term = umax_terms.get(node)
+                    term = screen_terms.get(node)
                     total += self._term(node) if term is None else term
                     if total > screen_bound:
                         watched = True
@@ -1059,8 +1028,8 @@ class AubAnalyzer:
         plan scores nodes against the utilization left by the plans
         accepted before it.  A session exposes the same batch-local
         overlay one candidate at a time (see
-        :class:`BatchAdmissionSession`); prune and dirty-refresh run once
-        here, at session start.
+        :class:`BatchAdmissionSession`); prune and the refresh of stale
+        registrations run once here, at session start.
 
         ``demand`` optionally maps node -> the worst-case synthetic
         utilization the whole burst could add there (every stage of every
@@ -1070,8 +1039,10 @@ class AubAnalyzer:
         ``admissible_batch`` builds from its candidate list: registered
         tasks whose condition holds under the envelope can never fail
         inside the burst and are exempted from every per-candidate
-        rescan.  Every candidate later offered to ``try_admit`` must stay
-        inside the envelope, or the screen is unsound.
+        rescan.  The screen also stands in for the exact refresh of the
+        stale registrations it clears (see :meth:`_screen_and_refresh`).
+        Every candidate later offered to ``try_admit`` must stay inside
+        the envelope, or the screen is unsound.
         """
         if self._sanitize:
             self._sanitize_audit_caches()
@@ -1124,7 +1095,7 @@ class BatchAdmissionSession:
         "_accepted_by_node",
         "_accepted_visits",
         "_watch",
-        "_umax_terms",
+        "_screen_terms",
     )
 
     def __init__(
@@ -1134,7 +1105,6 @@ class BatchAdmissionSession:
         demand: Optional[Mapping[str, float]] = None,
     ) -> None:
         analyzer.prune(now)
-        analyzer._refresh_dirty()
         self._analyzer = analyzer
         #: Running post-commit totals for nodes accepted candidates touched.
         self._over_totals: Dict[str, float] = {}
@@ -1146,45 +1116,20 @@ class BatchAdmissionSession:
         #: Registered keys the worst-case screen could not exempt (None
         #: when no demand envelope was given: rescan everything).
         self._watch: Optional[Set[Tuple[str, int]]] = None
-        #: f() terms at the envelope's worst-case per-node totals.
-        self._umax_terms: Optional[Dict[str, float]] = None
+        #: f() terms the screen read: at the envelope's worst-case
+        #: totals on its nodes, at the current totals elsewhere.
+        self._screen_terms: Optional[Dict[str, float]] = None
         if demand is None:
+            analyzer._refresh_dirty()
             return
-        # One-pass screen, exactly as admissible_batch builds it from its
-        # candidate list — the envelope plays the role of the burst's
-        # summed stage deltas.
+        # The same screen admissible_batch builds from its candidate list
+        # — the envelope plays the role of the burst's summed stage deltas.
         ledger = analyzer.ledger
         umax = {
             node: ledger.utilization_or_zero(node) + extra
             for node, extra in demand.items()
         }
-        umax_terms = dict(zip(umax, aub_terms_bulk(list(umax.values()))))
-        screen_bound = 1.0 + EPSILON - SCREEN_GUARD
-        by_node = analyzer._by_node
-        registry = analyzer._visits
-        to_screen: Set[Tuple[str, int]] = set()
-        for node in umax:
-            keys = by_node.get(node)
-            if keys:
-                to_screen.update(keys)
-        if len(to_screen) >= _BULK_MIN:
-            analyzer._prime_node_terms(
-                node
-                for key in to_screen
-                for node in registry[key][0]
-                if node not in umax_terms
-            )
-        watch: Set[Tuple[str, int]] = set()
-        for key in to_screen:
-            total = 0.0
-            for node in registry[key][0]:
-                term = umax_terms.get(node)
-                total += analyzer._term(node) if term is None else term
-                if total > screen_bound:
-                    watch.add(key)
-                    break
-        self._watch = watch
-        self._umax_terms = umax_terms
+        self._watch, self._screen_terms = analyzer._screen_and_refresh(umax)
 
     @property
     def accepted(self) -> int:
@@ -1303,14 +1248,14 @@ class BatchAdmissionSession:
             over_totals[node] = base + value
         # Screen the accepted candidate against the demand envelope like
         # a registered task: only watched ones are ever rescanned.
-        umax_terms = self._umax_terms
+        screen_terms = self._screen_terms
         watched = True
-        if umax_terms is not None:
+        if screen_terms is not None:
             screen_bound = 1.0 + EPSILON - SCREEN_GUARD
             total = 0.0
             watched = False
             for node in cand.visits:
-                term = umax_terms.get(node)
+                term = screen_terms.get(node)
                 total += analyzer._term(node) if term is None else term
                 if total > screen_bound:
                     watched = True

@@ -1,6 +1,6 @@
 """Property tests for the batched hot path.
 
-Four contracts are enforced here:
+Five contracts are enforced here:
 
 * **Batch admission parity** — for random bursts of arrivals,
   :meth:`AubAnalyzer.admissible_batch` accepts exactly the prefix-greedy
@@ -14,9 +14,12 @@ Four contracts are enforced here:
   same assignments, the same accept/reject decisions, and bit-identical
   final ledger utilizations as the sequential path's
   plan / ``admissible`` / per-stage-commit / register loop.
-* **Vectorized f(U) parity** — when numpy is importable,
-  ``aub_terms_bulk`` returns bit-identical floats to the scalar
-  ``aub_term`` loop (elementwise float64 ops are IEEE-754 exact).
+* **Screen-and-refresh at session start** — a session's demand-envelope
+  screen leaves the keys it clears stale instead of refreshing them, yet
+  the analyzer's violating set is exact right after every session
+  opens, and decisions match an unscreened session and the sequential
+  oracle across back-to-back sessions on ledgers loaded behind the
+  analyzer's back.
 * **Ledger shard invariants** — the per-node sharded
   :class:`SyntheticUtilizationLedger` reports the same utilizations,
   snapshots, and contribution counts as an unsharded dict-of-dicts
@@ -32,14 +35,12 @@ from hypothesis import strategies as st
 
 from repro.core.load_balancer import LoadBalancerComponent
 from repro.sched.aub import (
+    EPSILON,
     AubAnalyzer,
     BatchCandidate,
     NaiveAubAnalyzer,
     SyntheticUtilizationLedger,
-    _aub_terms_python,
-    _np,
     aub_term,
-    aub_terms_bulk,
 )
 from repro.sched.task import Job, TaskKind
 
@@ -84,7 +85,7 @@ def _random_burst(rng, size):
     return candidates
 
 
-def _sequential_oracle(ledger, analyzer, candidates, now):
+def _sequential_oracle(ledger, analyzer, candidates, now, expiry=1e9):
     """The ground truth: test each candidate, really commit accepts
     (under each candidate's own registry key)."""
     decisions = []
@@ -95,7 +96,7 @@ def _sequential_oracle(ledger, analyzer, candidates, now):
             task_id, job_index = cand.key
             for j, (node, value) in enumerate(cand.stage_contribs):
                 ledger.add(node, (task_id, job_index, j), value)
-            analyzer.register(cand.key, list(cand.visits), expiry=1e9)
+            analyzer.register(cand.key, list(cand.visits), expiry=expiry)
     return decisions
 
 
@@ -390,42 +391,147 @@ class TestBatchPlacementParity:
 
 
 # ----------------------------------------------------------------------
-# Vectorized f(U) parity
+# Screen-and-refresh at session start
 # ----------------------------------------------------------------------
-class TestBulkTermParity:
-    def test_scalar_fallback_matches_aub_term(self):
-        values = [0.0, 0.1, 0.5, 0.999, 1.0, 1.5]
-        assert aub_terms_bulk(values) == [aub_term(v) for v in values]
+def _fresh_violating(ledger, analyzer):
+    """Registered keys whose visit-order total under the live ledger
+    exceeds the bound, recomputed from scratch (no analyzer cache)."""
+    violating = set()
+    for key, (visits, _expiry) in analyzer._visits.items():
+        total = 0.0
+        for node in visits:
+            total += aub_term(ledger.utilization_or_zero(node))
+        if total > 1.0 + EPSILON:
+            violating.add(key)
+    return violating
 
-    @pytest.mark.skipif(_np is None, reason="numpy not importable")
-    @settings(max_examples=60, deadline=None)
-    @given(
-        values=st.lists(
-            st.floats(min_value=0.0, max_value=1.25, allow_nan=False),
-            min_size=1,
-            max_size=64,
+
+def _assert_screen_refresh_rule(seed, n_pre, rounds, coverage=None):
+    """Back-to-back screened sessions on one analyzer, never refreshed in
+    between, against an unscreened twin and the sequential oracle.
+
+    Each round first loads or unloads the ledgers behind the analyzers'
+    backs (contributions no admission test approved, so registered tasks
+    can go over the bound and come back), then opens a session with a
+    random demand envelope covering the round's candidates.
+    """
+    rng = random.Random(seed)
+    ledgers = [SyntheticUtilizationLedger(NODES) for _ in range(3)]
+    screened, unscreened = AubAnalyzer(ledgers[0]), AubAnalyzer(ledgers[1])
+    oracle = NaiveAubAnalyzer(ledgers[2])
+    analyzers = (screened, unscreened, oracle)
+    for i in range(n_pre):
+        stages = rng.randint(1, 3)
+        visits = [rng.choice(NODES) for _ in range(stages)]
+        utils = [rng.uniform(0.005, 0.06) for _ in range(stages)]
+        expiry = rng.choice([1e9, None, rng.uniform(0.0, rounds)])
+        for ledger in ledgers:
+            for j, (node, util) in enumerate(zip(visits, utils)):
+                ledger.add(node, (f"P{i}", 0, j), util)
+        for analyzer in analyzers:
+            analyzer.register((f"P{i}", 0), list(visits), expiry)
+    loads = []
+    #: Ledger entries of the previous round's accepted candidates, which
+    #: expire (registry and ledger alike) before the next round.
+    expiring = []
+    for r in range(rounds):
+        now = float(r) + 0.5
+        for ledger in ledgers:
+            ledger.remove_batch([(node, key) for node, key, _ in expiring])
+        if loads and rng.random() < 0.7:
+            node, key = loads.pop(rng.randrange(len(loads)))
+            for ledger in ledgers:
+                ledger.remove(node, key)
+        if rng.random() < 0.5:
+            node, key = rng.choice(NODES), ("X", r, 0)
+            value = rng.uniform(0.05, 0.5)
+            for ledger in ledgers:
+                ledger.add(node, key, value)
+            loads.append((node, key))
+        candidates = [
+            BatchCandidate(c.visits, c.stage_contribs, key=(f"R{r}B{i}", 0))
+            for i, c in enumerate(_random_burst(rng, rng.randint(0, 8)))
+        ]
+        # Envelope: the candidates' summed demand plus random slack,
+        # sometimes on nodes no candidate touches.
+        demand = {}
+        for cand in candidates:
+            for node, value in cand.stage_contribs:
+                demand[node] = demand.get(node, 0.0) + value
+        for node in NODES:
+            if rng.random() < 0.4:
+                demand[node] = demand.get(node, 0.0) + rng.uniform(0.0, 0.4)
+
+        session = screened.batch_session(now, demand)
+        # (a) The violating set is exact right after the screen, although
+        # the keys it cleared were not refreshed.
+        expected = _fresh_violating(ledgers[0], screened)
+        assert screened._violating == expected, (
+            f"violating set diverged (seed={seed}, round={r}): "
+            f"analyzer={sorted(screened._violating)} fresh={sorted(expected)}"
         )
+        # Cleared keys stay dirty: every clean cached total is still exact.
+        screened._sanitize_audit_caches()
+        decisions = [session.try_admit(cand) for cand in candidates]
+        twin = unscreened.batch_session(now)
+        twin_decisions = [twin.try_admit(cand) for cand in candidates]
+        sequential = _sequential_oracle(
+            ledgers[2], oracle, candidates, now, expiry=now + 0.75
+        )
+        # (b) The screen changes no decision.
+        assert decisions == twin_decisions == sequential, (
+            f"decisions diverged (seed={seed}, round={r}): screened="
+            f"{decisions} unscreened={twin_decisions} sequential={sequential}"
+        )
+        expiring = [
+            (node, (cand.key[0], cand.key[1], j), value)
+            for cand, ok in zip(candidates, decisions)
+            if ok
+            for j, (node, value) in enumerate(cand.stage_contribs)
+        ]
+        for ledger, analyzer in zip(ledgers, (screened, unscreened)):
+            ledger.add_batch(expiring)
+            for cand, ok in zip(candidates, decisions):
+                if ok:
+                    analyzer.register(
+                        cand.key, list(cand.visits), expiry=now + 0.75
+                    )
+        if coverage is not None:
+            coverage["violating"] |= bool(expected)
+            coverage["left_dirty"] |= bool(screened._dirty)
+            coverage["accept"] |= any(decisions)
+            coverage["reject"] |= not all(decisions)
+
+
+class TestScreenAndRefresh:
+    def test_seeded_session_chains(self):
+        coverage = dict.fromkeys(
+            ("violating", "left_dirty", "accept", "reject"), False
+        )
+        for seed in range(30):
+            _assert_screen_refresh_rule(seed, 10, 8, coverage)
+        # Over the bound, cleared-but-stale keys, accepts and rejects
+        # must all occur, or the property says little.
+        assert all(coverage.values()), coverage
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        n_pre=st.integers(min_value=0, max_value=25),
+        rounds=st.integers(min_value=1, max_value=8),
     )
-    def test_numpy_path_bit_identical(self, values):
-        from repro.sched.aub import _aub_terms_numpy
+    def test_random_session_chains(self, seed, n_pre, rounds):
+        _assert_screen_refresh_rule(seed, n_pre, rounds)
 
-        scalar = _aub_terms_python(values)
-        vectorized = _aub_terms_numpy(values)
-        assert len(scalar) == len(vectorized)
-        for s, v in zip(scalar, vectorized):
-            # Exact equality: elementwise float64 arithmetic must agree
-            # with the scalar expression bit for bit (inf == inf holds).
-            assert s == v
-
-    @pytest.mark.skipif(_np is None, reason="numpy not importable")
-    def test_negative_utilization_rejected_by_both_paths(self):
-        from repro.errors import SchedulingError
-        from repro.sched.aub import _aub_terms_numpy
-
-        with pytest.raises(SchedulingError):
-            _aub_terms_python([0.1, -1e-9])
-        with pytest.raises(SchedulingError):
-            _aub_terms_numpy([0.1, -1e-9])
+    def test_skipping_the_refresh_is_caught(self, monkeypatch):
+        """Negative control: an analyzer that marks stale keys clean
+        without recomputing them fails the property."""
+        monkeypatch.setattr(
+            AubAnalyzer, "_refresh", lambda self, stale: stale.clear()
+        )
+        with pytest.raises(AssertionError):
+            for seed in range(30):
+                _assert_screen_refresh_rule(seed, 10, 8)
 
 
 # ----------------------------------------------------------------------

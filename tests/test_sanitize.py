@@ -3,7 +3,7 @@
 The positive half proves the sanitizer is pure observation: a full API run
 under ``REPRO_SANITIZE=1`` completes with zero violations and produces a
 bit-identical result to the unsanitized run.  The negative half injects a
-deliberate fault behind each of the five checks and requires the exact
+deliberate fault behind each of the six checks and requires the exact
 :class:`~repro.sanitize.SanitizeViolation` to fire — a sanitizer that
 cannot catch its target bug is just overhead.
 """
@@ -21,6 +21,7 @@ from repro.sanitize import (
     RngDrawLedger,
     SanitizeViolation,
     check_cached_workload,
+    check_screen_cleared,
     pickle_canary,
 )
 from repro.sched.aub import AubAnalyzer, SyntheticUtilizationLedger
@@ -256,3 +257,49 @@ class TestWorkloadCacheCrossCheck:
         with pytest.raises(SanitizeViolation, match=f"task '{first}'"):
             check_cached_workload("source", workload, drifted)
 
+
+
+# ----------------------------------------------------------------------
+# Negative 6: batch screen clearance
+# ----------------------------------------------------------------------
+class TestScreenClearance:
+    @staticmethod
+    def _overloaded():
+        """A registration already over the bound on a loaded node."""
+        ledger = SyntheticUtilizationLedger(["n1", "n2"])
+        analyzer = AubAnalyzer(ledger)
+        ledger.add("n1", ("t1", 0, 0), 0.9)
+        analyzer.register(("t1", 0), ["n1"], expiry=None)
+        return analyzer
+
+    def test_envelope_below_the_ledger_is_caught(self, sanitize):
+        # A negative demand breaks the envelope contract: the screen sees
+        # f(0) on n1 and would clear a registration that violates now.
+        analyzer = self._overloaded()
+        with pytest.raises(SanitizeViolation, match="cleared registration"):
+            analyzer.batch_session(now=0.0, demand={"n1": -0.9})
+
+    def test_without_sanitize_the_cleared_key_goes_unnoticed(
+        self, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        analyzer = self._overloaded()
+        analyzer.batch_session(now=0.0, demand={"n1": -0.9})
+        assert ("t1", 0) not in analyzer._violating
+
+    def test_sound_envelope_is_silent(self, sanitize):
+        analyzer = self._overloaded()
+        analyzer.register(("t2", 0), ["n2"], expiry=None)
+        analyzer.ledger.add("n2", ("t2", 0, 0), 0.1)
+        analyzer.batch_session(now=0.0, demand={"n1": 0.05, "n2": 0.05})
+        # t2 was cleared (and left dirty); t1 was watched and refreshed.
+        assert analyzer._violating == {("t1", 0)}
+        assert analyzer._dirty == {("t2", 0)}
+
+    def test_violation_names_the_registration(self):
+        with pytest.raises(SanitizeViolation, match="\\('t7', 3\\)"):
+            check_screen_cleared(
+                [(("t6", 0), ["a"]), (("t7", 3), ["a", "b"])],
+                {"a": 0.6, "b": 0.5}.__getitem__,
+                1.0,
+            )
