@@ -18,8 +18,9 @@ wall-clock:
   the regression gate guards p99 as lower-is-better.
 * **Burst admission** — end-to-end admission of a burst of 64
   simultaneous arrivals (test + ledger commit + registration) through the
-  per-arrival incremental path vs one ``admissible_batch`` call plus one
-  ``add_batch`` commit.
+  per-arrival incremental path vs one ``admissible_batch`` call (a batch
+  session over the burst's summed demand, one ``try_admit`` per
+  arrival) plus one ``add_batch`` commit.
 * **LB burst placement** — greedy placement + admission of the same burst
   through the sequential path (per-candidate ``location()`` probe, double
   admission test, interim ledger commits) vs one
@@ -232,7 +233,8 @@ def _admit_burst_per_arrival(ledger, analyzer, candidates):
 
 
 def _admit_burst_batched(ledger, analyzer, candidates):
-    """The batched hot path: one admissible_batch, one add_batch commit."""
+    """The batched hot path: one admissible_batch (one batch session),
+    one add_batch commit."""
     decisions = analyzer.admissible_batch(candidates, now=0.0)
     add_entries = []
     committed = []

@@ -24,20 +24,23 @@ concurrent arrivals serialize and queueing delay is measured honestly.
 **Burst batching** (the ``batching`` attribute, driven by a scenario's
 ``arrival_batching`` flag): instead of deciding one arrival per dispatch
 work item, incoming "Task Arrive" events accumulate in an arrival queue
-and the first work item to run drains the whole queue through
-:meth:`~repro.sched.aub.AubAnalyzer.admissible_batch` — one prune, one
-cache refresh, shared hypothetical totals, and a single ledger
-``add_batch`` commit for every accepted arrival in the burst.  Each
-arrival still pays its own sampled admission cost on the dispatch thread
-(CPU accounting is unchanged); what batching amortizes is the analyzer
-bookkeeping and the decision latency of arrivals queued behind the first.
+and the first work item to run drains the whole queue through one
+analyzer batch session
+(:meth:`~repro.sched.aub.AubAnalyzer.batch_session`) — one prune, one
+screen-and-refresh pass against the burst's demand envelope, a
+batch-local overlay standing in for the interim ledger commits each
+decision must observe, and a single ledger ``add_batch`` commit for
+every accepted arrival in the burst.  Decisions stay bit-identical to
+the per-arrival path.  Each arrival still pays its own sampled admission
+cost on the dispatch thread (CPU accounting is unchanged); what batching
+amortizes is the analyzer bookkeeping and the decision latency of
+arrivals queued behind the first.
 
-Load-balanced configurations batch too: placements are planned and
-tested against one analyzer batch session per burst
-(:meth:`~repro.sched.aub.AubAnalyzer.batch_session`), whose overlay
-plays the role of the interim ledger commits each placement must
-observe, so decisions stay bit-identical to the per-arrival path while
-the burst commits through a single ledger ``add_batch``.  Only two
+Home placement drives the session over the burst's home assignments
+(:meth:`~repro.sched.aub.AubAnalyzer.admissible_batch`, whose envelope
+is the burst's exact demand).  Load-balanced configurations plan each
+placement against the session's overlay and declare every eligible
+processor of every queued stage as the envelope.  Only two
 cases re-enter the sequential flow mid-burst (after flushing the open
 batch segment, so ordering is preserved): a later job of a periodic
 task whose first job is still undecided in the same burst, and — under
@@ -102,6 +105,20 @@ class AdmissionState:
     analyzer: AubAnalyzer
 
 
+def _burst_candidate(
+    task: TaskSpec, assignment: Dict[int, str]
+) -> BatchCandidate:
+    """``task`` placed by ``assignment`` as a batch-session candidate:
+    its visit list and per-stage contributions in commit order."""
+    return BatchCandidate(
+        task.visited_processors(assignment),
+        [
+            (assignment[s.index], task.subtask_utilization(s.index))
+            for s in task.subtasks
+        ],
+    )
+
+
 class AdmissionControllerComponent(Component):
     """AUB-based on-line admission control (strategies: per task/per job)."""
 
@@ -127,8 +144,8 @@ class AdmissionControllerComponent(Component):
         "batching": AttributeSpec(
             bool,
             default=False,
-            doc="Drain simultaneous arrivals into one batched admission "
-            "test (admissible_batch) instead of deciding per event.",
+            doc="Drain simultaneous arrivals through one analyzer batch "
+            "session (batch_session) instead of deciding per event.",
         ),
     }
 
@@ -470,18 +487,7 @@ class AdmissionControllerComponent(Component):
                 # Pinned per-task placement: no Location call, just the
                 # admission test (the sequential path's test-and-commit).
                 assignment = record.assignment
-                admitted = session.try_admit(
-                    BatchCandidate(
-                        task.visited_processors(assignment),
-                        [
-                            (
-                                assignment[s.index],
-                                task.subtask_utilization(s.index),
-                            )
-                            for s in task.subtasks
-                        ],
-                    )
-                )
+                admitted = session.try_admit(_burst_candidate(task, assignment))
             else:
                 assignment = locator.location_in_batch(job, session)
                 admitted = assignment is not None
@@ -501,22 +507,15 @@ class AdmissionControllerComponent(Component):
         pending: List[Tuple[TaskArriveEvent, TaskRecord, bool]],
         now: float,
     ) -> None:
-        """Home-assignment burst admission through ``admissible_batch``."""
+        """Home-assignment burst admission through ``admissible_batch``
+        (one analyzer batch session over the burst's exact demand)."""
         candidates: List[BatchCandidate] = []
         assignments: List[Dict[int, str]] = []
         for event, _record, _per_task_ac in pending:
             task = event.job.task
             assignment = task.home_assignment()
             assignments.append(assignment)
-            candidates.append(
-                BatchCandidate(
-                    task.visited_processors(assignment),
-                    [
-                        (assignment[s.index], task.subtask_utilization(s.index))
-                        for s in task.subtasks
-                    ],
-                )
-            )
+            candidates.append(_burst_candidate(task, assignment))
         decisions = self.analyzer.admissible_batch(candidates, now)
         decided: List[
             Tuple[TaskArriveEvent, Optional[Dict[int, str]], bool, bool]

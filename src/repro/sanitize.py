@@ -44,8 +44,8 @@ parity mismatch.
    first shared task set.
 
 6. **Batch screen clearance** (:func:`check_screen_cleared`, hooked into
-   the shared screen of :meth:`repro.sched.aub.AubAnalyzer.admissible_batch`
-   and :meth:`~repro.sched.aub.AubAnalyzer.batch_session`): the screen
+   the session screen run when
+   :meth:`repro.sched.aub.AubAnalyzer.batch_session` opens): the screen
    drops every registration it clears from the violating set without
    refreshing it, on the argument that the worst-case totals it
    screened against bound the current ones.  Armed, every cleared

@@ -34,14 +34,14 @@ Two analyzer implementations share the same API:
   with per-task cached condition totals, and retires expired registrations
   through a min-heap instead of a linear sweep.  An admission test only
   evaluates the candidate plus the tasks that visit a node whose
-  utilization would actually change.  :meth:`AubAnalyzer.admissible_batch`
-  admits a whole burst of simultaneous arrivals in one call: one prune,
-  one dirty refresh, shared hypothetical per-node totals, and
-  O(changed-nodes) bookkeeping per accepted candidate.
-  :meth:`AubAnalyzer.batch_session` opens the same overlay machinery
-  incrementally (:class:`BatchAdmissionSession`) for bursts whose
-  candidates are built on the fly — load-balanced placement plans that
-  must score nodes against the placements accepted before them.
+  utilization would actually change.  Bursts of simultaneous arrivals
+  go through one path, :meth:`AubAnalyzer.batch_session`: a
+  :class:`BatchAdmissionSession` screens the registrations once against
+  the burst's worst-case demand envelope, then tests candidates one at a
+  time over a batch-local overlay at O(changed-nodes) cost per accept.
+  Load-balanced placement plans are built on the fly against that
+  overlay; :meth:`AubAnalyzer.admissible_batch` drives a session over a
+  burst whose candidates are all known up front.
 * :class:`NaiveAubAnalyzer` — the direct transcription of condition (1)
   (snapshot the ledger, rescan every registered task).  Retained as the
   reference implementation: property tests assert the incremental engine
@@ -78,7 +78,7 @@ from repro.sim.monitor import TimeWeightedStat
 #: exactly the bound are not rejected by floating-point noise.
 EPSILON = 1e-9
 
-#: Safety margin of the batch screen (see ``admissible_batch``): a task
+#: Safety margin of the batch screen (see ``batch_session``): a task
 #: is exempted from per-candidate re-evaluation only if its condition
 #: under the burst's worst-case totals stays this far *below* the
 #: admission bound.  The margin dwarfs the ulp-scale wobble of float
@@ -377,7 +377,9 @@ class SyntheticUtilizationLedger:
 
 
 class BatchCandidate:
-    """One arrival in a burst submitted to ``admissible_batch``.
+    """One arrival in a burst, offered to
+    :meth:`BatchAdmissionSession.try_admit` (directly, or through
+    :meth:`AubAnalyzer.admissible_batch`).
 
     Parameters
     ----------
@@ -392,7 +394,7 @@ class BatchCandidate:
         test-and-commit path.
     key:
         Optional registry key carried for the caller's bookkeeping;
-        ``admissible_batch`` itself never registers anything.
+        a batch session itself never registers anything.
 
     Batch candidates model *arrivals*, so stage contributions must be
     non-negative (relocations with mixed-sign deltas go through the
@@ -449,11 +451,12 @@ class AubAnalyzer:
     by the candidate are covered by the cached-total invariant (their
     condition value cannot have changed since it was last computed).
 
-    :meth:`admissible_batch` extends the same machinery to a burst of
-    simultaneous arrivals: prune and dirty-refresh run once, hypothetical
-    per-node totals are shared across the burst, and each accepted
-    candidate costs only O(changed nodes) overlay updates — no ledger
-    mutation, no cache invalidation, no per-candidate refresh storm.
+    :meth:`batch_session` extends the same machinery to a burst of
+    simultaneous arrivals: prune and the screen-and-refresh pass run
+    once, and each accepted candidate costs only O(changed nodes)
+    overlay updates — no ledger mutation, no cache invalidation, no
+    per-candidate refresh storm.  :meth:`admissible_batch` is the
+    session driven over a burst known up front.
     """
 
     #: Compact the expiry heap only beyond this size (below it, lazy
@@ -831,218 +834,44 @@ class AubAnalyzer:
         :meth:`SyntheticUtilizationLedger.add_batch` over the accepted
         stage contributions in candidate order, then ``register()`` each).
 
-        The batch amortizes everything the per-arrival path pays per
-        arrival.  Prune runs once.  Then the **shared hypothetical
-        totals screen** runs once (:meth:`_screen_and_refresh`, which
-        also refreshes the stale keys it does not clear): the worst-case
-        per-node totals ``U_max`` (current totals plus *every*
-        candidate's stage deltas) are built in one pass, and every
-        registered task on a burst-touched node is evaluated once
-        against them.  Burst deltas are non-negative and ``f`` is
-        monotone, so any hypothetical state a candidate can produce lies
-        at or below ``U_max`` node-wise — a task whose condition holds
-        under ``U_max`` (by at least :data:`SCREEN_GUARD`, which absorbs
-        ulp-scale float wobble) can never fail inside this batch and is
-        exempted from every per-candidate rescan.  Only the tasks the
-        screen puts on watch are re-evaluated exactly, per candidate,
-        with the same floats the sequential path would compute.  An
-        accepted candidate costs O(changed nodes) overlay updates plus its
-        own one-off screen — no ledger mutation, so no cache invalidation
-        and no re-refresh storm between candidates.
+        The burst runs through a :meth:`batch_session` whose demand
+        envelope is the per-node sum of every candidate's stage
+        contributions — exact demand rather than an upper bound, since
+        the candidates are known up front — and each candidate is offered
+        to :meth:`BatchAdmissionSession.try_admit` in order.
         """
-        if self._sanitize:
-            self._sanitize_audit_caches()
-        self.prune(now)
-        ledger = self.ledger
-        # ---- one-pass screen: shared worst-case hypothetical totals ----
-        umax: Dict[str, float] = {}
+        demand: Dict[str, float] = {}
         for cand in candidates:
             for node, value in cand.stage_contribs:
-                base = umax.get(node)
-                if base is None:
-                    base = ledger.utilization_or_zero(node)
-                umax[node] = base + value
-        watch, screen_terms = self._screen_and_refresh(umax)
-        screen_bound = 1.0 + EPSILON - SCREEN_GUARD
-        by_node = self._by_node
-        registry = self._visits
-        violating = self._violating
-        # Batch-local overlay over the ledger: running totals for nodes an
-        # accepted candidate touched, cached f() terms for those nodes,
-        # and a node -> watched-accepted-candidate reverse index (accepted
-        # candidates join the rescan set exactly like registered tasks,
-        # and are screened against U_max the same way).
-        over_totals: Dict[str, float] = {}
-        over_terms: Dict[str, float] = {}
-        accepted_by_node: Dict[str, Set[int]] = {}
-        accepted_visits: List[Tuple[str, ...]] = []
-        decisions: List[bool] = []
-        for cand in candidates:
-            self.tests_performed += 1
-            visits = cand.visits
-            contribs = cand.contribs
-            # Hypothetical post-admission utilization on each touched node.
-            hyp: Dict[str, float] = {}
-            for node, extra in contribs.items():
-                base = over_totals.get(node)
-                if base is None:
-                    base = ledger.utilization_or_zero(node)
-                hyp[node] = max(0.0, base + extra)
-            ok = True
-            # Every processor must stay below saturation.
-            for node in set(visits):
-                u = hyp.get(node)
-                if u is None:
-                    u = over_totals.get(node)
-                    if u is None:
-                        u = ledger.utilization_or_zero(node)
-                if u >= 1.0:
-                    ok = False
-                    break
-            # The candidate's own condition.
-            if ok:
-                total = 0.0
-                for node in visits:
-                    u = hyp.get(node)
-                    if u is None:
-                        total += self._overlay_term(node, over_totals, over_terms)
-                    else:
-                        total += aub_term(u)
-                    if total > 1.0 + EPSILON:
-                        ok = False
-                        break
-            # Watched registered tasks and watched earlier-accepted
-            # candidates visiting a node this candidate would change.
-            # (Screened-out tasks cannot fail under any state <= U_max.)
-            affected: Set[Tuple[str, int]] = set()
-            affected_accepted: Set[int] = set()
-            if ok and (watch or accepted_by_node):
-                for node, extra in contribs.items():
-                    if extra == 0.0:
-                        continue
-                    keys = by_node.get(node)
-                    if keys and watch:
-                        affected.update(keys & watch)
-                    batch_keys = accepted_by_node.get(node)
-                    if batch_keys:
-                        affected_accepted.update(batch_keys)
-            if ok and violating:
-                # A task already over the bound fails the test no matter
-                # what this candidate changes elsewhere; with non-negative
-                # arrival deltas it cannot recover inside the batch, so
-                # every candidate is rejected either here or in the
-                # affected rescan below (violating tasks screen onto the
-                # watch list whenever a candidate touches their nodes).
-                for key in violating:
-                    if key not in affected:
-                        ok = False
-                        break
-            if ok:
-                for key in affected:
-                    total = 0.0
-                    for node in registry[key][0]:
-                        u = hyp.get(node)
-                        if u is None:
-                            total += self._overlay_term(
-                                node, over_totals, over_terms
-                            )
-                        else:
-                            total += aub_term(u)
-                        if total > 1.0 + EPSILON:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                for index in affected_accepted:
-                    total = 0.0
-                    for node in accepted_visits[index]:
-                        u = hyp.get(node)
-                        if u is None:
-                            total += self._overlay_term(
-                                node, over_totals, over_terms
-                            )
-                        else:
-                            total += aub_term(u)
-                        if total > 1.0 + EPSILON:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            decisions.append(ok)
-            if ok:
-                # Commit into the overlay: replay the exact per-stage
-                # additions the ledger would perform, then invalidate the
-                # overlay terms of the changed nodes — O(changed nodes).
-                index = len(accepted_visits)
-                accepted_visits.append(visits)
-                for node, value in cand.stage_contribs:
-                    base = over_totals.get(node)
-                    if base is None:
-                        base = ledger.utilization_or_zero(node)
-                    over_totals[node] = base + value
-                # Screen the accepted candidate against U_max like a
-                # registered task: only watched ones are ever rescanned.
-                total = 0.0
-                watched = False
-                for node in visits:
-                    term = screen_terms.get(node)
-                    total += self._term(node) if term is None else term
-                    if total > screen_bound:
-                        watched = True
-                        break
-                for node in contribs:
-                    over_terms.pop(node, None)
-                    if watched:
-                        members = accepted_by_node.get(node)
-                        if members is None:
-                            accepted_by_node[node] = {index}
-                        else:
-                            members.add(index)
-        return decisions
-
-    def _overlay_term(
-        self,
-        node: str,
-        over_totals: Dict[str, float],
-        over_terms: Dict[str, float],
-    ) -> float:
-        """Cached f(U_j) under the batch overlay (falls back to the
-        ledger-level cached term for nodes the batch has not changed)."""
-        term = over_terms.get(node)
-        if term is None:
-            u = over_totals.get(node)
-            if u is None:
-                return self._term(node)
-            term = aub_term(u)
-            over_terms[node] = term
-        return term
+                demand[node] = demand.get(node, 0.0) + value
+        session = self.batch_session(now, demand)
+        return [session.try_admit(cand) for cand in candidates]
 
     def batch_session(
-        self, now: float, demand: Optional[Mapping[str, float]] = None
+        self, now: float, demand: Mapping[str, float]
     ) -> "BatchAdmissionSession":
         """Open an incremental burst-admission session.
 
-        :meth:`admissible_batch` needs every candidate up front;
-        load-balanced bursts cannot provide that because each placement
-        plan scores nodes against the utilization left by the plans
-        accepted before it.  A session exposes the same batch-local
+        Load-balanced bursts cannot name their candidates up front:
+        each placement plan scores nodes against the utilization left by
+        the plans accepted before it.  A session exposes the batch-local
         overlay one candidate at a time (see
-        :class:`BatchAdmissionSession`); prune and the refresh of stale
-        registrations run once here, at session start.
+        :class:`BatchAdmissionSession`); prune and the screen-and-refresh
+        pass run once here, at session start.
 
-        ``demand`` optionally maps node -> the worst-case synthetic
-        utilization the whole burst could add there (every stage of every
-        queued arrival counted on each of its eligible processors).  The
-        placements are unknown up front but their demand envelope is not,
-        and it is enough to run the same worst-case screen
-        ``admissible_batch`` builds from its candidate list: registered
-        tasks whose condition holds under the envelope can never fail
-        inside the burst and are exempted from every per-candidate
-        rescan.  The screen also stands in for the exact refresh of the
-        stale registrations it clears (see :meth:`_screen_and_refresh`).
-        Every candidate later offered to ``try_admit`` must stay inside
-        the envelope, or the screen is unsound.
+        ``demand`` maps node -> the worst-case synthetic utilization the
+        whole burst could add there (for a load-balanced burst, every
+        stage of every queued arrival counted on each of its eligible
+        processors; for :meth:`admissible_batch`, the candidates' summed
+        stage contributions).  The placements may be unknown up front but
+        their demand envelope is not, and it is enough to screen the
+        registrations once: tasks whose condition holds under the
+        envelope can never fail inside the burst and are exempted from
+        every per-candidate rescan.  The screen also stands in for the
+        exact refresh of the stale registrations it clears (see
+        :meth:`_screen_and_refresh`).  Every candidate later offered to
+        ``try_admit`` must stay inside the envelope, or the screen is
+        unsound.
         """
         if self._sanitize:
             self._sanitize_audit_caches()
@@ -1051,18 +880,20 @@ class AubAnalyzer:
 
 
 class BatchAdmissionSession:
-    """Incremental burst admission for candidates built *during* the batch.
+    """Incremental burst admission over a batch-local overlay — the one
+    path every burst of simultaneous arrivals takes.
 
     The load balancer plans one placement at a time: each plan's node
     scores must include the contributions of every placement accepted
-    earlier in the burst.  A session carries the same batch-local overlay
-    :meth:`AubAnalyzer.admissible_batch` uses — running per-node totals,
-    cached overlay terms, and the accepted-candidate rescan index — but
-    accepts candidates one by one: :meth:`utilization` is the planner's
-    view (overlay where the batch changed a node, live ledger otherwise)
-    and :meth:`try_admit` tests a candidate and folds it into the overlay
-    on success, at O(changed nodes) cost with no ledger mutation and no
-    cache invalidation between candidates.
+    earlier in the burst.  A session carries a batch-local overlay —
+    running per-node totals, cached overlay terms, and the
+    accepted-candidate rescan index — and accepts candidates one by one:
+    :meth:`utilization` is the planner's view (overlay where the batch
+    changed a node, live ledger otherwise) and :meth:`try_admit` tests a
+    candidate and folds it into the overlay on success, at O(changed
+    nodes) cost with no ledger mutation and no cache invalidation between
+    candidates.  :meth:`AubAnalyzer.admissible_batch` drives the same
+    session over a burst whose candidates are known up front.
 
     Decisions and floats are **bit-identical** to the sequential loop of
     :meth:`AubAnalyzer.admissible` followed by per-stage ledger commits
@@ -1070,13 +901,14 @@ class BatchAdmissionSession:
     the exact per-stage additions a ledger commit performs, hypothetical
     states use the same ``max(0, U + delta)`` expression, and every
     rescan recomputes the same visit-order sums with the same early exit.
-    Each test rescans the registered tasks and earlier-accepted
-    candidates on the nodes the candidate would change — exactly the set
-    the sequential path rescans — unless a ``demand`` envelope was given
-    at session start, in which case the same worst-case screen
-    ``admissible_batch`` runs over its candidate list runs here over the
-    envelope: burst deltas are non-negative and ``f`` is monotone, so a
-    task whose condition holds under the envelope totals (by at least
+    The sequential path rescans every registered task and
+    earlier-accepted candidate on the nodes a candidate would change; a
+    session rescans only the watched ones.  At session start the
+    registrations are screened once against the demand envelope's
+    worst-case totals (:meth:`AubAnalyzer._screen_and_refresh`), and each
+    accepted candidate is screened the same way as it joins the overlay:
+    burst deltas are non-negative and ``f`` is monotone, so a task whose
+    condition holds under the envelope totals (by at least
     :data:`SCREEN_GUARD`) would pass every rescan the sequential path
     performs, and skipping those rescans cannot change a decision.
 
@@ -1102,7 +934,7 @@ class BatchAdmissionSession:
         self,
         analyzer: AubAnalyzer,
         now: float,
-        demand: Optional[Mapping[str, float]] = None,
+        demand: Mapping[str, float],
     ) -> None:
         analyzer.prune(now)
         self._analyzer = analyzer
@@ -1110,25 +942,17 @@ class BatchAdmissionSession:
         self._over_totals: Dict[str, float] = {}
         #: Cached f() terms for overlay nodes (invalidated on commit).
         self._over_terms: Dict[str, float] = {}
-        #: node -> indices of accepted candidates visiting it.
+        #: node -> indices of watched accepted candidates visiting it.
         self._accepted_by_node: Dict[str, Set[int]] = {}
         self._accepted_visits: List[Tuple[str, ...]] = []
-        #: Registered keys the worst-case screen could not exempt (None
-        #: when no demand envelope was given: rescan everything).
-        self._watch: Optional[Set[Tuple[str, int]]] = None
-        #: f() terms the screen read: at the envelope's worst-case
-        #: totals on its nodes, at the current totals elsewhere.
-        self._screen_terms: Optional[Dict[str, float]] = None
-        if demand is None:
-            analyzer._refresh_dirty()
-            return
-        # The same screen admissible_batch builds from its candidate list
-        # — the envelope plays the role of the burst's summed stage deltas.
         ledger = analyzer.ledger
         umax = {
             node: ledger.utilization_or_zero(node) + extra
             for node, extra in demand.items()
         }
+        #: Registered keys the worst-case screen could not exempt, and
+        #: the f() terms it read: at the envelope's worst-case totals on
+        #: its nodes, at the current totals elsewhere.
         self._watch, self._screen_terms = analyzer._screen_and_refresh(umax)
 
     @property
@@ -1144,6 +968,18 @@ class BatchAdmissionSession:
             return self._analyzer.ledger.utilization(node)
         return total
 
+    def _overlay_term(self, node: str) -> float:
+        """Cached f(U_j) under the overlay (falls back to the analyzer's
+        cached term for nodes the batch has not changed)."""
+        term = self._over_terms.get(node)
+        if term is None:
+            u = self._over_totals.get(node)
+            if u is None:
+                return self._analyzer._term(node)
+            term = aub_term(u)
+            self._over_terms[node] = term
+        return term
+
     def try_admit(self, cand: BatchCandidate) -> bool:
         """Test ``cand`` under ledger + overlay; commit it into the
         overlay and return True when the system stays schedulable."""
@@ -1151,7 +987,6 @@ class BatchAdmissionSession:
         analyzer.tests_performed += 1
         ledger = analyzer.ledger
         over_totals = self._over_totals
-        over_terms = self._over_terms
         visits = cand.visits
         # Hypothetical post-admission utilization on each touched node.
         hyp: Dict[str, float] = {}
@@ -1173,74 +1008,62 @@ class BatchAdmissionSession:
         total = 0.0
         for node in visits:
             u = hyp.get(node)
-            if u is None:
-                total += analyzer._overlay_term(node, over_totals, over_terms)
-            else:
-                total += aub_term(u)
+            total += self._overlay_term(node) if u is None else aub_term(u)
             if total > 1.0 + EPSILON:
                 return False
-        # Registered tasks and earlier-accepted candidates visiting a
-        # node this candidate would change (watched ones only, when the
-        # demand envelope screened the rest out).
-        affected: Set[Tuple[str, int]] = set()
-        affected_accepted: Set[int] = set()
-        by_node = analyzer._by_node
-        accepted_by_node = self._accepted_by_node
+        # Watched registered tasks and watched earlier-accepted
+        # candidates visiting a node this candidate would change.
+        # (Screened-out ones cannot fail under any state within the
+        # envelope; when nothing is watched, nothing is collected.)
         watch = self._watch
-        for node, extra in cand.contribs.items():
-            if extra == 0.0:
-                continue
-            keys = by_node.get(node)
-            if keys:
-                affected.update(keys if watch is None else keys & watch)
-            batch_keys = accepted_by_node.get(node)
-            if batch_keys:
-                affected_accepted.update(batch_keys)
+        accepted_by_node = self._accepted_by_node
+        accepted_visits = self._accepted_visits
         violating = analyzer._violating
-        if violating:
-            # A task already over the bound fails the test no matter what
-            # the candidate changes elsewhere (mirrors ``admissible``).
+        if watch or accepted_by_node:
+            affected: Set[Tuple[str, int]] = set()
+            affected_accepted: Set[int] = set()
+            by_node = analyzer._by_node
+            for node, extra in cand.contribs.items():
+                if extra == 0.0:
+                    continue
+                keys = by_node.get(node)
+                if keys and watch:
+                    affected.update(keys & watch)
+                batch_keys = accepted_by_node.get(node)
+                if batch_keys:
+                    affected_accepted.update(batch_keys)
+            # A task already over the bound fails the test no matter
+            # what this candidate changes elsewhere (mirrors
+            # ``admissible``); violating tasks on the burst's nodes
+            # screen onto the watch list, so they are rescanned below
+            # when this candidate touches their nodes.
             for key in violating:
                 if key not in affected:
                     return False
-        registry = analyzer._visits
-        for key in affected:
-            total = 0.0
-            for node in registry[key][0]:
-                u = hyp.get(node)
-                if u is None:
-                    total += analyzer._overlay_term(
-                        node, over_totals, over_terms
-                    )
-                else:
-                    total += aub_term(u)
-                if total > 1.0 + EPSILON:
-                    return False
-        accepted_visits = self._accepted_visits
-        for index in affected_accepted:
-            total = 0.0
-            for node in accepted_visits[index]:
-                u = hyp.get(node)
-                if u is None:
-                    total += analyzer._overlay_term(
-                        node, over_totals, over_terms
-                    )
-                else:
-                    total += aub_term(u)
-                if total > 1.0 + EPSILON:
-                    return False
-        self._commit(cand)
-        return True
-
-    def _commit(self, cand: BatchCandidate) -> None:
-        """Fold an accepted candidate into the overlay: replay the exact
-        per-stage additions the ledger commit will perform, invalidate
-        the overlay terms of the changed nodes — O(changed nodes)."""
-        over_totals = self._over_totals
-        analyzer = self._analyzer
-        ledger = analyzer.ledger
-        index = len(self._accepted_visits)
-        self._accepted_visits.append(cand.visits)
+            overlay_term = self._overlay_term
+            registry = analyzer._visits
+            for key in affected:
+                total = 0.0
+                for node in registry[key][0]:
+                    u = hyp.get(node)
+                    total += overlay_term(node) if u is None else aub_term(u)
+                    if total > 1.0 + EPSILON:
+                        return False
+            for index in affected_accepted:
+                total = 0.0
+                for node in accepted_visits[index]:
+                    u = hyp.get(node)
+                    total += overlay_term(node) if u is None else aub_term(u)
+                    if total > 1.0 + EPSILON:
+                        return False
+        elif violating:
+            # Over the bound already, and nothing watched to rescan.
+            return False
+        # Commit into the overlay: replay the exact per-stage additions
+        # the ledger commit will perform, then invalidate the overlay
+        # terms of the changed nodes — O(changed nodes).
+        index = len(accepted_visits)
+        accepted_visits.append(visits)
         for node, value in cand.stage_contribs:
             base = over_totals.get(node)
             if base is None:
@@ -1249,26 +1072,25 @@ class BatchAdmissionSession:
         # Screen the accepted candidate against the demand envelope like
         # a registered task: only watched ones are ever rescanned.
         screen_terms = self._screen_terms
-        watched = True
-        if screen_terms is not None:
-            screen_bound = 1.0 + EPSILON - SCREEN_GUARD
-            total = 0.0
-            watched = False
-            for node in cand.visits:
-                term = screen_terms.get(node)
-                total += analyzer._term(node) if term is None else term
-                if total > screen_bound:
-                    watched = True
-                    break
-        accepted_by_node = self._accepted_by_node
+        screen_bound = 1.0 + EPSILON - SCREEN_GUARD
+        total = 0.0
+        watched = False
+        for node in visits:
+            term = screen_terms.get(node)
+            total += analyzer._term(node) if term is None else term
+            if total > screen_bound:
+                watched = True
+                break
+        over_terms = self._over_terms
         for node in cand.contribs:
-            self._over_terms.pop(node, None)
+            over_terms.pop(node, None)
             if watched:
                 members = accepted_by_node.get(node)
                 if members is None:
                     accepted_by_node[node] = {index}
                 else:
                     members.add(index)
+        return True
 
 
 class NaiveAubAnalyzer:

@@ -8,10 +8,19 @@ AC's batched decision pass — (b) respect every strategy's semantics, and
 import pytest
 
 from repro.api import Scenario, Session
+from repro.core.strategies import LBStrategy, valid_combinations
 from repro.errors import ConfigurationError
 from repro.workloads.generator import RandomWorkloadParams
 
 PARAMS = RandomWorkloadParams(n_periodic=4, n_aperiodic=4)
+
+#: Every valid combo that places at home (no LB): their bursts reach the
+#: analyzer through ``admissible_batch``'s session.
+HOME_COMBOS = [
+    combo.label
+    for combo in valid_combinations()
+    if combo.lb is LBStrategy.NONE
+]
 
 
 def _scenario(combo="J_J_N", batching=True, **kwargs):
@@ -92,10 +101,22 @@ class TestMiddlewareBatching:
         assert lb.plans_returned > 0
         assert result.released_jobs > 0
 
-    @pytest.mark.parametrize("combo", ["J_J_J", "T_T_T", "T_T_J", "J_N_T"])
-    def test_lb_batching_matches_sequential_decisions(self, combo):
-        """Batched LB placement is bit-identical to the sequential path:
-        same admitted/rejected/released counts on the same trace."""
+    def test_home_bursts_open_batch_sessions(self):
+        session = Session(_scenario(combo="J_N_N", burst=(4.0, 30, None, 1e-4)))
+        session.run()
+        ac = session.system.ac
+        # Home placement admits its drained bursts through a batch
+        # session, like the load-balanced combos do.
+        assert ac.batch_calls > 0
+        assert ac.analyzer.batch_sessions > 0
+
+    @pytest.mark.parametrize(
+        "combo", ["J_J_J", "T_T_T", "T_T_J", "J_N_T"] + HOME_COMBOS
+    )
+    def test_batching_matches_sequential_decisions(self, combo):
+        """Batched admission — LB placement and home placement alike — is
+        bit-identical to the sequential path: same admitted/rejected/
+        released counts and final ledger on the same trace."""
         outcomes = []
         for batching in (False, True):
             session = Session(

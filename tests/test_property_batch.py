@@ -3,23 +3,25 @@
 Five contracts are enforced here:
 
 * **Batch admission parity** — for random bursts of arrivals,
-  :meth:`AubAnalyzer.admissible_batch` accepts exactly the prefix-greedy
-  set that sequential :meth:`NaiveAubAnalyzer.admissible` calls (with
-  real per-stage ledger commits between them) would accept, at exact
-  float equality; and :meth:`NaiveAubAnalyzer.admissible_batch` — the
-  retained reference transcription — agrees with both.
-* **Batch placement parity** — load-balanced bursts planned through a
-  :class:`BatchAdmissionSession` (greedy scores against the ledger plus
-  the burst's accepted overlay, one ``try_admit`` per plan) produce the
-  same assignments, the same accept/reject decisions, and bit-identical
-  final ledger utilizations as the sequential path's
-  plan / ``admissible`` / per-stage-commit / register loop.
+  :meth:`AubAnalyzer.admissible_batch` (a batch session over the burst's
+  summed demand, one ``try_admit`` per candidate) accepts exactly the
+  prefix-greedy set that sequential :meth:`NaiveAubAnalyzer.admissible`
+  calls (with real per-stage ledger commits between them) would accept,
+  at exact float equality; and :meth:`NaiveAubAnalyzer.admissible_batch`
+  — the retained reference transcription — agrees with both.
+* **Batch placement parity** — load-balanced bursts planned through an
+  envelope-screened :class:`BatchAdmissionSession` (greedy scores
+  against the ledger plus the burst's accepted overlay, one
+  ``try_admit`` per plan) produce the same assignments, the same
+  accept/reject decisions, and bit-identical final ledger utilizations
+  as the sequential path's plan / ``admissible`` / per-stage-commit /
+  register loop.
 * **Screen-and-refresh at session start** — a session's demand-envelope
   screen leaves the keys it clears stale instead of refreshing them, yet
   the analyzer's violating set is exact right after every session
-  opens, and decisions match an unscreened session and the sequential
-  oracle across back-to-back sessions on ledgers loaded behind the
-  analyzer's back.
+  opens, and decisions match :meth:`NaiveAubAnalyzer.admissible_batch`
+  and the sequential oracle across back-to-back sessions on ledgers
+  loaded behind the analyzer's back.
 * **Ledger shard invariants** — the per-node sharded
   :class:`SyntheticUtilizationLedger` reports the same utilizations,
   snapshots, and contribution counts as an unsharded dict-of-dicts
@@ -293,19 +295,10 @@ def _assert_placement_parity(seed, n_pre, burst_size):
     jobs = _burst_jobs(rng, burst_size)
     lb = LoadBalancerComponent("lb", None)
 
-    session = analyzers[0].batch_session(now=1.0)
-    batched = [lb.location_in_batch(job, session) for job in jobs]
-    # A screened session (sessions never mutate ledger or registry, so a
-    # second one can replay the same burst): skipping the rescans the
-    # demand envelope exempts must not change any plan.
-    screened_session = analyzers[0].batch_session(
+    session = analyzers[0].batch_session(
         now=1.0, demand=_demand_envelope(jobs)
     )
-    screened = [lb.location_in_batch(job, screened_session) for job in jobs]
-    assert screened == batched, (
-        f"screened session diverged (seed={seed}): "
-        f"screened={screened} unscreened={batched}"
-    )
+    batched = [lb.location_in_batch(job, session) for job in jobs]
     entries = [
         (
             plan[subtask.index],
@@ -364,30 +357,42 @@ class TestBatchPlacementParity:
         ledger = SyntheticUtilizationLedger(("a", "b"))
         analyzer = AubAnalyzer(ledger)
         lb = LoadBalancerComponent("lb", None)
-        session = analyzer.batch_session(now=0.0)
         # Both stages may run anywhere; empty ledger ties break to "a".
         t0 = make_task("T0", execs=(0.2,), homes=("a",), replicas=[("b",)])
         t1 = make_task("T1", execs=(0.1,), homes=("a",), replicas=[("b",)])
         j0 = Job(task=t0, index=0, arrival_time=0.0, arrival_node="a")
         j1 = Job(task=t1, index=0, arrival_time=0.0, arrival_node="a")
+        session = analyzer.batch_session(
+            now=0.0, demand=_demand_envelope([j0, j1])
+        )
         assert lb.location_in_batch(j0, session) == {0: "a"}
         # Without the overlay "a" would still score 0.0 and win the tie.
         assert lb.location_in_batch(j1, session) == {0: "b"}
 
     def test_saturating_burst_rejects_tail(self):
-        ledger = SyntheticUtilizationLedger(("a",))
-        analyzer = AubAnalyzer(ledger)
+        ledgers = [SyntheticUtilizationLedger(("a",)) for _ in range(2)]
+        analyzers = [AubAnalyzer(ledger) for ledger in ledgers]
         lb = LoadBalancerComponent("lb", None)
-        session = analyzer.batch_session(now=0.0)
-        plans = []
-        for i in range(8):
-            task = make_task(f"T{i}", execs=(0.2,), homes=("a",))
-            job = Job(task=task, index=0, arrival_time=0.0, arrival_node="a")
-            plans.append(lb.location_in_batch(job, session))
+        jobs = [
+            Job(
+                task=make_task(f"T{i}", execs=(0.2,), homes=("a",)),
+                index=0,
+                arrival_time=0.0,
+                arrival_node="a",
+            )
+            for i in range(8)
+        ]
+        session = analyzers[0].batch_session(
+            now=0.0, demand=_demand_envelope(jobs)
+        )
+        plans = [lb.location_in_batch(job, session) for job in jobs]
         decisions = [p is not None for p in plans]
         assert any(decisions) and not all(decisions)
         first_reject = decisions.index(False)
         assert not any(decisions[first_reject:])
+        assert plans == _lb_sequential_oracle(
+            ledgers[1], analyzers[1], lb, jobs, now=0.0
+        )
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +413,7 @@ def _fresh_violating(ledger, analyzer):
 
 def _assert_screen_refresh_rule(seed, n_pre, rounds, coverage=None):
     """Back-to-back screened sessions on one analyzer, never refreshed in
-    between, against an unscreened twin and the sequential oracle.
+    between, against the naive batch reference and the sequential oracle.
 
     Each round first loads or unloads the ledgers behind the analyzers'
     backs (contributions no admission test approved, so registered tasks
@@ -417,9 +422,9 @@ def _assert_screen_refresh_rule(seed, n_pre, rounds, coverage=None):
     """
     rng = random.Random(seed)
     ledgers = [SyntheticUtilizationLedger(NODES) for _ in range(3)]
-    screened, unscreened = AubAnalyzer(ledgers[0]), AubAnalyzer(ledgers[1])
-    oracle = NaiveAubAnalyzer(ledgers[2])
-    analyzers = (screened, unscreened, oracle)
+    screened = AubAnalyzer(ledgers[0])
+    naive, oracle = NaiveAubAnalyzer(ledgers[1]), NaiveAubAnalyzer(ledgers[2])
+    analyzers = (screened, naive, oracle)
     for i in range(n_pre):
         stages = rng.randint(1, 3)
         visits = [rng.choice(NODES) for _ in range(stages)]
@@ -473,15 +478,14 @@ def _assert_screen_refresh_rule(seed, n_pre, rounds, coverage=None):
         # Cleared keys stay dirty: every clean cached total is still exact.
         screened._sanitize_audit_caches()
         decisions = [session.try_admit(cand) for cand in candidates]
-        twin = unscreened.batch_session(now)
-        twin_decisions = [twin.try_admit(cand) for cand in candidates]
+        naive_batch = naive.admissible_batch(candidates, now)
         sequential = _sequential_oracle(
             ledgers[2], oracle, candidates, now, expiry=now + 0.75
         )
         # (b) The screen changes no decision.
-        assert decisions == twin_decisions == sequential, (
+        assert decisions == naive_batch == sequential, (
             f"decisions diverged (seed={seed}, round={r}): screened="
-            f"{decisions} unscreened={twin_decisions} sequential={sequential}"
+            f"{decisions} naive_batch={naive_batch} sequential={sequential}"
         )
         expiring = [
             (node, (cand.key[0], cand.key[1], j), value)
@@ -489,7 +493,7 @@ def _assert_screen_refresh_rule(seed, n_pre, rounds, coverage=None):
             if ok
             for j, (node, value) in enumerate(cand.stage_contribs)
         ]
-        for ledger, analyzer in zip(ledgers, (screened, unscreened)):
+        for ledger, analyzer in zip(ledgers, (screened, naive)):
             ledger.add_batch(expiring)
             for cand, ok in zip(candidates, decisions):
                 if ok:
