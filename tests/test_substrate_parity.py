@@ -19,6 +19,7 @@ import hashlib
 import pytest
 
 from repro.api import Scenario, Session, WorkloadSource
+from repro.core.cost_model import CostModel
 from repro.workloads.generator import RandomWorkloadParams
 
 DURATION = 5.0
@@ -86,6 +87,25 @@ def _grid():
         .build(),
         False,
     ))
+    # Piggybacked rounds under loss and a coordinator crash: a 5-ms
+    # admission test makes simultaneous arrivals queue, so some rounds
+    # carry several reservations through the retry/abort ladder.
+    cells.append((
+        "distributed/batched-lossy",
+        Scenario.builder()
+        .workload_source(WorkloadSource.random(SEED, 6, DENSE))
+        .combo("J_N_N")
+        .distributed()
+        .arrival_batching()
+        .cost_model(CostModel(admission_test=0.005))
+        .duration(DURATION)
+        .seed(SEED)
+        .message_loss(0.2, time=DURATION / 3, until=2 * DURATION / 3)
+        .node_crash("app1", time=2.5, recovery=3.0)
+        .label("batched-lossy")
+        .build(),
+        False,
+    ))
     return cells
 
 
@@ -123,6 +143,13 @@ GOLDEN = {
     "distributed/lossy": (
         "1c8a124ec59796b1757d75618358f9851007826f798c5f06104c58cc3a616597",
         3391,
+        NO_TRACE,
+    ),
+    # Recorded before the per-reservation and piggybacked coordination
+    # protocols were merged into one.
+    "distributed/batched-lossy": (
+        "59cd4577cbf0a360b47344c6b60ad54ee6bca83665761a716c2eddddc5007840",
+        4249,
         NO_TRACE,
     ),
 }
