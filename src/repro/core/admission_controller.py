@@ -80,6 +80,7 @@ from repro.sched.aub import (
     AubAnalyzer,
     BatchCandidate,
     SyntheticUtilizationLedger,
+    burst_candidate,
 )
 from repro.sched.task import Job, TaskSpec
 
@@ -103,20 +104,6 @@ class AdmissionState:
 
     ledger: SyntheticUtilizationLedger
     analyzer: AubAnalyzer
-
-
-def _burst_candidate(
-    task: TaskSpec, assignment: Dict[int, str]
-) -> BatchCandidate:
-    """``task`` placed by ``assignment`` as a batch-session candidate:
-    its visit list and per-stage contributions in commit order."""
-    return BatchCandidate(
-        task.visited_processors(assignment),
-        [
-            (assignment[s.index], task.subtask_utilization(s.index))
-            for s in task.subtasks
-        ],
-    )
 
 
 class AdmissionControllerComponent(Component):
@@ -487,7 +474,7 @@ class AdmissionControllerComponent(Component):
                 # Pinned per-task placement: no Location call, just the
                 # admission test (the sequential path's test-and-commit).
                 assignment = record.assignment
-                admitted = session.try_admit(_burst_candidate(task, assignment))
+                admitted = session.try_admit(burst_candidate(task, assignment))
             else:
                 assignment = locator.location_in_batch(job, session)
                 admitted = assignment is not None
@@ -515,7 +502,7 @@ class AdmissionControllerComponent(Component):
             task = event.job.task
             assignment = task.home_assignment()
             assignments.append(assignment)
-            candidates.append(_burst_candidate(task, assignment))
+            candidates.append(burst_candidate(task, assignment))
         decisions = self.analyzer.admissible_batch(candidates, now)
         decided: List[
             Tuple[TaskArriveEvent, Optional[Dict[int, str]], bool, bool]

@@ -30,13 +30,19 @@ matter what other coordinators admit — at the price of conservatism
 per admission.  The ablation benchmark quantifies both penalties against
 the paper's centralized design.
 
-Under arrival batching (``Scenario.arrival_batching``), a coordinator
-drains its queued burst into one **piggybacked** round: a single
-multi-reservation transaction whose participants vote on every
-reservation of the burst against one local snapshot (per-item votes,
-per-reservation locks/expiry/abort).  A burst then costs one two-phase
-round instead of one per reservation, with decisions bit-identical to
-the one-round-per-reservation path (property-tested).
+Coordination rounds
+-------------------
+A coordinator admits arrivals in **rounds**.  Each participant receives
+one :class:`RoundReserve` carrying every reservation of the round that
+involves it, votes on them in order against its local ledger (each
+granted lock is visible to the reservations after it), and receives one
+:class:`RoundOutcome` with a commit or abort per reservation.  Without
+arrival batching every arrival is a round of one.  Under arrival
+batching (``Scenario.arrival_batching``) a coordinator drains its queued
+burst into a single round, so a burst costs one two-phase round instead
+of one per reservation, with decisions bit-identical to rounds of one
+(property-tested): the rounds of one's reserves all land before any
+outcome returns, so each vote already sees the locks ahead of it.
 
 Scope: this extension prototype supports AC-per-job with no idle
 resetting and no load balancing (home assignments), the configuration
@@ -49,7 +55,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro import sanitize
 from repro.ccm.component import AttributeSpec, Component
@@ -69,132 +75,84 @@ from repro.errors import ComponentError
 from repro.sched.aub import EPSILON, aub_term, aub_term_inverse
 from repro.sched.task import Job
 
-#: Topics of the two-phase coordination protocol.
-TOPIC_RESERVE = "dac_reserve"
-TOPIC_VOTE = "dac_vote"
-TOPIC_COMMIT = "dac_commit"
-TOPIC_ABORT = "dac_abort"
-#: Piggybacked (multi-reservation) variants: one message per participant
-#: per *round* instead of per reservation (arrival batching only).
-TOPIC_RESERVE_BATCH = "dac_reserve_batch"
-TOPIC_VOTE_BATCH = "dac_vote_batch"
-TOPIC_COMMIT_BATCH = "dac_commit_batch"
+#: Topics of the two-phase coordination protocol: one message per
+#: participant per round and phase.
+TOPIC_ROUND_RESERVE = "dac_reserve"
+TOPIC_ROUND_VOTE = "dac_vote"
+TOPIC_ROUND_OUTCOME = "dac_outcome"
+
+#: A phase-1 lock: (txn, job key).
+_LockKey = Tuple[int, Tuple[str, int]]
 
 
-@dataclass(frozen=True)
-class ReserveRequest:
-    """Phase 1: coordinator asks a participant to lock utilization."""
+class ReserveItem(NamedTuple):
+    """One reservation of a round: lock ``delta`` here until ``expiry``."""
 
-    txn: int
-    coordinator: str
     job_key: Tuple[str, int]
     delta: float
     expiry: float
 
 
-@dataclass(frozen=True)
-class Vote:
-    """Participant's reply: locked (with post-lock utilization) or refused."""
+class Outcome(NamedTuple):
+    """The decision on one reservation: commit (with this participant's
+    cap) or abort."""
 
-    txn: int
-    node: str
-    granted: bool
-    post_utilization: float = 0.0
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Phase 2: commit (with this participant's cap) or abort."""
-
-    txn: int
     job_key: Tuple[str, int]
     commit: bool
     cap: float = 1.0
     expiry: float = 0.0
 
 
-@dataclass(frozen=True)
-class ReserveItem:
-    """One reservation inside a piggybacked multi-reservation round."""
-
-    index: int
-    job_key: Tuple[str, int]
-    delta: float
-    expiry: float
-
-
-@dataclass(frozen=True)
-class BatchReserveRequest:
-    """Phase 1 of a piggybacked round: every reservation of the burst
-    that involves this participant, in burst order."""
+class RoundReserve(NamedTuple):
+    """Phase 1: every reservation of the round that involves this
+    participant, in arrival order."""
 
     txn: int
     coordinator: str
-    items: Tuple[ReserveItem, ...]
+    items: List[ReserveItem]
 
 
-@dataclass(frozen=True)
-class BatchVote:
+class RoundVote(NamedTuple):
     """Participant reply: one grant (with post-lock utilization) per
     item, aligned with the request's ``items``."""
 
     txn: int
     node: str
-    granted: Tuple[bool, ...]
-    post_utilization: Tuple[float, ...]
+    granted: List[bool]
+    post_utilization: List[float]
 
 
-@dataclass(frozen=True)
-class BatchOutcome:
-    """Phase 2 of a piggybacked round: per-reservation commit/abort
-    outcomes for this participant, aligned with its request ``items``."""
+class RoundOutcome(NamedTuple):
+    """Phase 2: this participant's outcomes, aligned with its request's
+    ``items``."""
 
     txn: int
-    items: Tuple[Outcome, ...]
+    items: List[Outcome]
 
 
-@dataclass
-class _Transaction:
-    """Coordinator-side state of one in-flight admission."""
-
-    job: Job
-    event: TaskArriveEvent
-    participants: List[str]
-    deltas: Dict[str, float]
-    votes: Dict[str, Vote] = field(default_factory=dict)
-    #: Vote-timeout event handle (chaos runs only; None when disarmed).
-    timeout_handle: Optional[object] = None
-    #: Reserve rounds already retried after a vote timeout.
-    attempt: int = 0
-    #: Simulated time the round's reserves went out (observability).
-    started: float = 0.0
-
-
-@dataclass
-class _BatchItem:
-    """One burst arrival inside a coordinator's piggybacked round."""
+class _RoundItem(NamedTuple):
+    """One arrival inside a coordinator's round."""
 
     job: Job
     event: TaskArriveEvent
     participants: List[str]
-    deltas: Dict[str, float]
 
 
 @dataclass
-class _BatchTransaction:
-    """Coordinator-side state of one in-flight piggybacked round."""
+class _Round:
+    """Coordinator-side state of one in-flight round."""
 
-    items: List[_BatchItem]
+    items: List[_RoundItem]
     participants: List[str]
-    #: participant -> the burst indices sent to it, in burst order.
-    sent: Dict[str, List[int]]
-    votes: Dict[str, BatchVote] = field(default_factory=dict)
+    #: participant -> its reservations of the round, in arrival order
+    #: (resent verbatim on a retry).
+    requests: Dict[str, List[ReserveItem]]
+    started: float
+    votes: Dict[str, RoundVote] = field(default_factory=dict)
     #: Vote-timeout event handle (chaos runs only; None when disarmed).
     timeout_handle: Optional[object] = None
     #: Reserve rounds already retried after a vote timeout.
     attempt: int = 0
-    #: Simulated time the round's reserves went out (observability).
-    started: float = 0.0
 
 
 class DistributedAdmissionControllerComponent(Component):
@@ -208,11 +166,10 @@ class DistributedAdmissionControllerComponent(Component):
             bool,
             default=False,
             doc="Drain queued simultaneous arrivals in one dispatch pass "
-            "and piggyback them onto a single multi-reservation "
-            "coordination round: participants vote on the whole burst "
-            "against one local snapshot (per-item votes, per-reservation "
-            "expiry/abort), so a burst costs one two-phase round instead "
-            "of one per reservation.",
+            "and coordinate them in a single round: participants vote on "
+            "the whole burst against one local snapshot (per-item votes, "
+            "per-reservation expiry/abort), so a burst costs one "
+            "two-phase round instead of one round of one per arrival.",
         ),
         "vote_timeout": AttributeSpec(
             float,
@@ -227,9 +184,9 @@ class DistributedAdmissionControllerComponent(Component):
         "max_retries": AttributeSpec(
             int,
             default=2,
-            doc="Reserve retries per transaction after the first vote "
-            "timeout; the round aborts (releasing every granted "
-            "reservation) when they are exhausted.",
+            doc="Reserve retries per round after the first vote timeout; "
+            "the round aborts (releasing every granted reservation) when "
+            "they are exhausted.",
         ),
     }
 
@@ -242,9 +199,8 @@ class DistributedAdmissionControllerComponent(Component):
         self._arrival_queue: List[TaskArriveEvent] = []
         #: Live local contributions: job key -> utilization on this node.
         self._contribs: Dict[Tuple[str, int], float] = {}
-        #: Pending phase-1 locks: txn (scalar rounds) or (txn, job key)
-        #: (piggybacked rounds) -> locked utilization.
-        self._locks: Dict[object, float] = {}
+        #: Pending phase-1 locks: (txn, job key) -> locked utilization.
+        self._locks: Dict[_LockKey, float] = {}
         #: Running committed + locked total, maintained incrementally so
         #: the hot admission path never re-sums the contribution maps.
         self._total: float = 0.0
@@ -254,25 +210,25 @@ class DistributedAdmissionControllerComponent(Component):
         #: the binding (smallest) cap is read in O(1) amortized instead of
         #: scanning every live cap per reservation.
         self._cap_heap: List[Tuple[float, Tuple[str, int]]] = []
-        self._transactions: Dict[int, _Transaction] = {}
-        self._batch_transactions: Dict[int, _BatchTransaction] = {}
+        #: In-flight rounds this node coordinates, by txn.
+        self._rounds: Dict[int, _Round] = {}
         self._source: Optional[EventSourcePort] = None
         self._thread = None
         self.admitted_jobs = 0
         self.rejected_jobs = 0
         self.reserve_messages = 0
-        #: Two-phase rounds initiated: one per transaction on the scalar
-        #: path, one per drained burst on the piggybacked path.
+        #: Two-phase rounds initiated: one per unbatched arrival, one per
+        #: drained burst under batching.
         self.coordination_rounds = 0
         self.batch_calls = 0
         self.batched_arrivals = 0
         # -- fault tolerance (active only under an armed fault injector) --
         #: Recorded granted votes per txn, resent verbatim on duplicate
         #: reserves so a retry after a lost vote never double-locks.
-        self._granted_votes: Dict[int, object] = {}
+        self._granted_votes: Dict[int, RoundVote] = {}
         #: Expiry-backstop event handles for phase-1 locks, keyed like
         #: ``_locks``; cancelled when the round's outcome arrives.
-        self._lock_expiry: Dict[object, object] = {}
+        self._lock_expiry: Dict[_LockKey, object] = {}
         #: Fail-silent crash flag (see :meth:`crash`/:meth:`recover`).
         self._crashed = False
         self.vote_timeouts = 0
@@ -326,17 +282,14 @@ class DistributedAdmissionControllerComponent(Component):
         EventSinkPort(self, "task_arrive", self._on_task_arrive).subscribe(
             TOPIC_TASK_ARRIVE
         )
-        EventSinkPort(self, "reserve", self._on_reserve).subscribe(TOPIC_RESERVE)
-        EventSinkPort(self, "vote", self._on_vote).subscribe(TOPIC_VOTE)
-        EventSinkPort(self, "outcome", self._on_outcome).subscribe(TOPIC_COMMIT)
-        EventSinkPort(self, "reserve_batch", self._on_batch_reserve).subscribe(
-            TOPIC_RESERVE_BATCH
+        EventSinkPort(self, "round_reserve", self._on_round_reserve).subscribe(
+            TOPIC_ROUND_RESERVE
         )
-        EventSinkPort(self, "vote_batch", self._on_batch_vote).subscribe(
-            TOPIC_VOTE_BATCH
+        EventSinkPort(self, "round_vote", self._on_round_vote).subscribe(
+            TOPIC_ROUND_VOTE
         )
-        EventSinkPort(self, "outcome_batch", self._on_batch_outcome).subscribe(
-            TOPIC_COMMIT_BATCH
+        EventSinkPort(self, "round_outcome", self._on_round_outcome).subscribe(
+            TOPIC_ROUND_OUTCOME
         )
 
     def on_activate(self) -> None:
@@ -394,7 +347,7 @@ class DistributedAdmissionControllerComponent(Component):
 
         The network layer already suppresses this node's messages during
         its crash window; this method handles the admission bookkeeping.
-        Every in-flight transaction this node coordinates aborts — the
+        Every in-flight round this node coordinates aborts — the
         arrival-node TE holding each job is local, so the reject is pure
         local accounting, keeping arrival conservation intact.  Remote
         participants' locks for those rounds are freed by their expiry
@@ -408,19 +361,13 @@ class DistributedAdmissionControllerComponent(Component):
             return
         self._crashed = True
         self.crash_count += 1
-        for txn in sorted(self._transactions):
-            transaction = self._transactions[txn]
-            self._cancel_vote_timeout(transaction)
+        for txn in sorted(self._rounds):
+            state = self._rounds[txn]
+            self._cancel_vote_timeout(state)
             self.aborted_transactions += 1
-            self._reject(transaction.event, "coordinator crashed")
-        self._transactions.clear()
-        for txn in sorted(self._batch_transactions):
-            transaction = self._batch_transactions[txn]
-            self._cancel_vote_timeout(transaction)
-            self.aborted_transactions += 1
-            for item in transaction.items:
+            for item in state.items:
                 self._reject(item.event, "coordinator crashed")
-        self._batch_transactions.clear()
+        self._rounds.clear()
         for event in self._arrival_queue:
             self._reject(event, "node crashed")
         self._arrival_queue = []
@@ -463,22 +410,21 @@ class DistributedAdmissionControllerComponent(Component):
                 f"locked+committed sum {locked + committed!r}"
             )
 
-    def _arm_vote_timeout(self, txn: int, attempt: int, batch: bool):
+    def _arm_vote_timeout(self, txn: int, attempt: int):
         """Schedule the vote-timeout event for one round (chaos only)."""
         if not self._chaos_armed():
             return None
-        callback = self._on_batch_vote_timeout if batch else self._on_vote_timeout
         return self._sim.schedule(
-            self._vote_timeout * (2.0 ** attempt), callback, txn
+            self._vote_timeout * (2.0 ** attempt), self._on_round_timeout, txn
         )
 
     @staticmethod
-    def _cancel_vote_timeout(transaction) -> None:
-        if transaction.timeout_handle is not None:
-            transaction.timeout_handle.cancel()
-            transaction.timeout_handle = None
+    def _cancel_vote_timeout(state: _Round) -> None:
+        if state.timeout_handle is not None:
+            state.timeout_handle.cancel()
+            state.timeout_handle = None
 
-    def _arm_lock_expiry(self, key: object, expiry: float) -> None:
+    def _arm_lock_expiry(self, key: _LockKey, expiry: float) -> None:
         """Backstop: free an orphaned phase-1 lock at its job's deadline.
 
         Armed only under chaos; cancelled when the round's outcome
@@ -492,12 +438,12 @@ class DistributedAdmissionControllerComponent(Component):
             max(self._sim.now, expiry), self._expire_lock, key
         )
 
-    def _cancel_lock_expiry(self, key: object) -> None:
+    def _cancel_lock_expiry(self, key: _LockKey) -> None:
         handle = self._lock_expiry.pop(key, None)
         if handle is not None:
             handle.cancel()
 
-    def _expire_lock(self, key: object) -> None:
+    def _expire_lock(self, key: _LockKey) -> None:
         self._lock_expiry.pop(key, None)
         locked = self._locks.pop(key, None)
         if locked is None:
@@ -507,8 +453,7 @@ class DistributedAdmissionControllerComponent(Component):
             self._total = 0.0
         # The recorded vote claims this lock; a later duplicate reserve
         # must re-evaluate instead of resending it.
-        txn = key[0] if isinstance(key, tuple) else key
-        self._granted_votes.pop(txn, None)
+        self._granted_votes.pop(key[0], None)
 
     # ------------------------------------------------------------------
     # Coordinator role
@@ -535,19 +480,7 @@ class DistributedAdmissionControllerComponent(Component):
         )
 
     def _drain_arrivals(self, _payload=None) -> None:
-        """Pack the queued burst into one piggybacked coordination round.
-
-        One multi-reservation transaction replaces one two-phase round
-        per reservation: each participant receives a single
-        :class:`BatchReserveRequest` carrying every reservation of the
-        burst that involves it (in burst order) and votes on the batch
-        against one local snapshot.  Per-reservation semantics —
-        expiry, abort, caps — are unchanged; decisions are bit-identical
-        to running one round per reservation, because the sequential
-        rounds' reserve requests all land before any outcome returns (so
-        each vote already sees the locks of the reservations ahead of
-        it, exactly as the packed vote loop does).
-        """
+        """Coordinate the queued burst in one round."""
         events = self._arrival_queue
         if not events or self._crashed:
             # crash() already rejected and flushed the queue.
@@ -555,11 +488,27 @@ class DistributedAdmissionControllerComponent(Component):
         self._arrival_queue = []
         self.batch_calls += 1
         self.batched_arrivals += len(events)
+        self._open_round(events)
+
+    def _coordinate(self, event: TaskArriveEvent) -> None:
+        """Coordinate one unbatched arrival: a round of one."""
+        if self._crashed:
+            # The node crashed while the admission cost elapsed.
+            self._reject(event, "node crashed")
+            return
+        self._open_round([event])
+
+    def _open_round(self, events: List[TaskArriveEvent]) -> None:
+        """Send each participant its reservations of ``events`` in one
+        :class:`RoundReserve`.  Arrivals whose deadline has already
+        passed are rejected here and join no round."""
         now = self._sim.now
-        items: List[_BatchItem] = []
+        items: List[_RoundItem] = []
+        requests: Dict[str, List[ReserveItem]] = {}
         for event in events:
             job = event.job
-            if job.absolute_deadline <= now:
+            expiry = job.absolute_deadline
+            if expiry <= now:
                 self._reject(event, "deadline expired before admission")
                 continue
             task = job.task
@@ -570,114 +519,54 @@ class DistributedAdmissionControllerComponent(Component):
                 deltas[node] = deltas.get(node, 0.0) + task.subtask_utilization(
                     subtask.index
                 )
-            items.append(
-                _BatchItem(
-                    job=job,
-                    event=event,
-                    participants=sorted(deltas),
-                    deltas=deltas,
-                )
-            )
+            participants = sorted(deltas)
+            items.append(_RoundItem(job, event, participants))
+            key = job.key
+            for node in participants:
+                reserve = ReserveItem(key, deltas[node], expiry)
+                if node in requests:
+                    requests[node].append(reserve)
+                else:
+                    requests[node] = [reserve]
         if not items:
             return
         txn = next(self._txn_counter)
-        sent: Dict[str, List[int]] = {}
-        for index, item in enumerate(items):
-            for node in item.participants:
-                sent.setdefault(node, []).append(index)
-        participants = sorted(sent)
-        transaction = _BatchTransaction(
-            items=items, participants=participants, sent=sent, started=now
-        )
-        self._batch_transactions[txn] = transaction
+        state = _Round(items, sorted(requests), requests, now)
+        self._rounds[txn] = state
         self.coordination_rounds += 1
         # Armed before the reserves go out: local participants vote
         # synchronously during the push loop and may complete (and
         # cancel) the round before the loop ends.
-        transaction.timeout_handle = self._arm_vote_timeout(txn, 0, batch=True)
-        for node in participants:
-            request = BatchReserveRequest(
-                txn=txn,
-                coordinator=self._node,
-                items=tuple(
-                    ReserveItem(
-                        index=i,
-                        job_key=items[i].job.key,
-                        delta=items[i].deltas[node],
-                        expiry=items[i].job.absolute_deadline,
-                    )
-                    for i in sent[node]
-                ),
-            )
+        state.timeout_handle = self._arm_vote_timeout(txn, 0)
+        for node in state.participants:
             self.reserve_messages += 1
-            self._source.push(node, TOPIC_RESERVE_BATCH, request)
+            request = RoundReserve(txn, self._node, requests[node])
+            self._source.push(node, TOPIC_ROUND_RESERVE, request)
 
-    def _coordinate(self, event: TaskArriveEvent) -> None:
-        if self._crashed:
-            # The node crashed while the admission cost elapsed.
-            self._reject(event, "node crashed")
-            return
-        job = event.job
-        task = job.task
-        now = self._sim.now
-        if job.absolute_deadline <= now:
-            self._reject(event, "deadline expired before admission")
-            return
-        assignment = task.home_assignment()
-        deltas: Dict[str, float] = {}
-        for subtask in task.subtasks:
-            node = assignment[subtask.index]
-            deltas[node] = deltas.get(node, 0.0) + task.subtask_utilization(
-                subtask.index
-            )
-        txn = next(self._txn_counter)
-        transaction = _Transaction(
-            job=job,
-            event=event,
-            participants=sorted(deltas),
-            deltas=deltas,
-            started=now,
-        )
-        self._transactions[txn] = transaction
-        self.coordination_rounds += 1
-        # Armed before the reserves go out (see _drain_arrivals).
-        transaction.timeout_handle = self._arm_vote_timeout(txn, 0, batch=False)
-        for node in transaction.participants:
-            request = ReserveRequest(
-                txn=txn,
-                coordinator=self._node,
-                job_key=job.key,
-                delta=deltas[node],
-                expiry=job.absolute_deadline,
-            )
-            self.reserve_messages += 1
-            self._source.push(node, TOPIC_RESERVE, request)
-
-    def _on_vote(self, vote: Vote) -> None:
+    def _on_round_vote(self, vote: RoundVote) -> None:
         if self._crashed:
             return
-        transaction = self._transactions.get(vote.txn)
-        if transaction is None:
+        state = self._rounds.get(vote.txn)
+        if state is None:
             return
-        transaction.votes[vote.node] = vote
-        if len(transaction.votes) < len(transaction.participants):
+        state.votes[vote.node] = vote
+        if len(state.votes) < len(state.participants):
             return
-        self._cancel_vote_timeout(transaction)
-        del self._transactions[vote.txn]
-        self._finish_transaction(vote.txn, transaction)
+        self._cancel_vote_timeout(state)
+        del self._rounds[vote.txn]
+        self._finish_round(vote.txn, state)
 
-    def _on_vote_timeout(self, txn: int) -> None:
-        """The scalar round ``txn`` is missing votes past the deadline."""
-        transaction = self._transactions.get(txn)
-        if transaction is None:
+    def _on_round_timeout(self, txn: int) -> None:
+        """The round ``txn`` is missing votes past the deadline."""
+        state = self._rounds.get(txn)
+        if state is None:
             return
         self.vote_timeouts += 1
-        transaction.timeout_handle = None
-        if transaction.attempt < self._max_retries:
-            transaction.attempt += 1
-            job = transaction.job
-            for node in transaction.participants:
-                if node in transaction.votes:
+        state.timeout_handle = None
+        if state.attempt < self._max_retries:
+            state.attempt += 1
+            for node in state.participants:
+                if node in state.votes:
                     continue
                 # Participants memoize granted votes, so a duplicate
                 # reserve is answered idempotently (no double-lock).
@@ -685,215 +574,66 @@ class DistributedAdmissionControllerComponent(Component):
                 self.reserve_messages += 1
                 self._source.push(
                     node,
-                    TOPIC_RESERVE,
-                    ReserveRequest(
-                        txn=txn,
-                        coordinator=self._node,
-                        job_key=job.key,
-                        delta=transaction.deltas[node],
-                        expiry=job.absolute_deadline,
-                    ),
+                    TOPIC_ROUND_RESERVE,
+                    RoundReserve(txn, self._node, state.requests[node]),
                 )
-            transaction.timeout_handle = self._arm_vote_timeout(
-                txn, transaction.attempt, batch=False
-            )
+            state.timeout_handle = self._arm_vote_timeout(txn, state.attempt)
             return
         # Out of retries: abort, releasing every granted reservation.
         # Participants whose vote was lost in flight still hold a lock,
         # so the abort goes to every participant (a participant that
         # never locked ignores it); a lost abort is backstopped by the
         # participant's lock expiry.
-        del self._transactions[txn]
+        del self._rounds[txn]
         self.aborted_transactions += 1
-        for node in transaction.participants:
-            self._source.push(
-                node,
-                TOPIC_COMMIT,
-                Outcome(txn=txn, job_key=transaction.job.key, commit=False),
-            )
-        self._reject(transaction.event, "coordination timed out")
+        for node in state.participants:
+            aborts = [Outcome(r.job_key, False) for r in state.requests[node]]
+            self._source.push(node, TOPIC_ROUND_OUTCOME, RoundOutcome(txn, aborts))
+        for item in state.items:
+            self._reject(item.event, "coordination timed out")
 
-    def _finish_transaction(self, txn: int, transaction: _Transaction) -> None:
+    def _finish_round(self, txn: int, state: _Round) -> None:
+        """Decide every reservation of the round in arrival order, then
+        send each participant its outcomes."""
+        now = self._sim.now
         if self._m_round_trip is not None:
-            self._m_round_trip.observe(self._sim.now - transaction.started)
-        votes = transaction.votes
-        all_granted = all(v.granted for v in votes.values())
-        condition_sum = 0.0
-        job = transaction.job
-        assignment = job.task.home_assignment()
+            self._m_round_trip.observe(now - state.started)
+        votes = state.votes
+        # A participant's vote vector is aligned with its request, which
+        # lists its reservations in arrival order: one cursor per
+        # participant walks it.
+        cursors = dict.fromkeys(state.participants, 0)
+        outcomes: Dict[str, List[Outcome]] = {
+            node: [] for node in state.participants
+        }
         # Retried rounds can outlast the job's deadline; committing then
         # would pair an instantly-expiring reservation with a released
         # job.  Chaos-gated: without faults a round always completes in
         # a few network hops, well inside any deadline.
-        expired = (
-            transaction.attempt > 0 or self._chaos_armed()
-        ) and job.absolute_deadline <= self._sim.now
-        if all_granted and not expired:
-            task = job.task
-            post = {node: votes[node].post_utilization for node in votes}
-            condition_sum = sum(
-                aub_term(post[assignment[s.index]]) for s in task.subtasks
-            )
-            all_granted = condition_sum <= 1.0 + EPSILON
-        if not all_granted or expired:
-            for node in transaction.participants:
-                self._source.push(
-                    node,
-                    TOPIC_COMMIT,
-                    Outcome(txn=txn, job_key=transaction.job.key, commit=False),
-                )
-            self._reject(
-                transaction.event,
-                "deadline expired during coordination"
-                if expired
-                else "reserve phase refused",
-            )
-            return
-        # Partition the residual slack equally among visited processors
-        # and convert each share into a local utilization cap.
-        k = len(transaction.participants)
-        slack_share = (1.0 - condition_sum) / k
-        for node in transaction.participants:
-            post_u = transaction.votes[node].post_utilization
-            cap = aub_term_inverse(aub_term(post_u) + max(0.0, slack_share))
-            self._source.push(
-                node,
-                TOPIC_COMMIT,
-                Outcome(
-                    txn=txn,
-                    job_key=transaction.job.key,
-                    commit=True,
-                    cap=cap,
-                    expiry=transaction.job.absolute_deadline,
-                ),
-            )
-        self.admitted_jobs += 1
-        if self._m_decisions_accept is not None:
-            self._m_decisions_accept.inc()
-            self._m_decision_latency.observe(self._sim.now - job.arrival_time)
-        release_node = assignment[0]
-        self._source.push(
-            release_node,
-            accept_topic(release_node),
-            AcceptEvent(
-                job=job,
-                assignment=assignment,
-                arrival_node=transaction.event.arrival_node,
-                release_node=release_node,
-            ),
-        )
-
-    def _on_batch_vote(self, vote: BatchVote) -> None:
-        if self._crashed:
-            return
-        transaction = self._batch_transactions.get(vote.txn)
-        if transaction is None:
-            return
-        transaction.votes[vote.node] = vote
-        if len(transaction.votes) < len(transaction.participants):
-            return
-        self._cancel_vote_timeout(transaction)
-        del self._batch_transactions[vote.txn]
-        self._finish_batch_transaction(vote.txn, transaction)
-
-    def _on_batch_vote_timeout(self, txn: int) -> None:
-        """The piggybacked round ``txn`` is missing votes past the
-        deadline; same retry/abort ladder as the scalar rounds."""
-        transaction = self._batch_transactions.get(txn)
-        if transaction is None:
-            return
-        self.vote_timeouts += 1
-        transaction.timeout_handle = None
-        if transaction.attempt < self._max_retries:
-            transaction.attempt += 1
-            items = transaction.items
-            for node in transaction.participants:
-                if node in transaction.votes:
-                    continue
-                self.retries_sent += 1
-                self.reserve_messages += 1
-                self._source.push(
-                    node,
-                    TOPIC_RESERVE_BATCH,
-                    BatchReserveRequest(
-                        txn=txn,
-                        coordinator=self._node,
-                        items=tuple(
-                            ReserveItem(
-                                index=i,
-                                job_key=items[i].job.key,
-                                delta=items[i].deltas[node],
-                                expiry=items[i].job.absolute_deadline,
-                            )
-                            for i in transaction.sent[node]
-                        ),
-                    ),
-                )
-            transaction.timeout_handle = self._arm_vote_timeout(
-                txn, transaction.attempt, batch=True
-            )
-            return
-        del self._batch_transactions[txn]
-        self.aborted_transactions += 1
-        for node in transaction.participants:
-            self._source.push(
-                node,
-                TOPIC_COMMIT_BATCH,
-                BatchOutcome(
-                    txn=txn,
-                    items=tuple(
-                        Outcome(
-                            txn=txn,
-                            job_key=transaction.items[i].job.key,
-                            commit=False,
-                        )
-                        for i in transaction.sent[node]
-                    ),
-                ),
-            )
-        for item in transaction.items:
-            self._reject(item.event, "coordination timed out")
-
-    def _finish_batch_transaction(
-        self, txn: int, transaction: _BatchTransaction
-    ) -> None:
-        """Decide every reservation of the round in burst order; the math
-        per item is the scalar :meth:`_finish_transaction` verbatim."""
-        if self._m_round_trip is not None:
-            self._m_round_trip.observe(self._sim.now - transaction.started)
-        n_items = len(transaction.items)
-        # Re-key the per-participant vote vectors by burst index.
-        grants: List[Dict[str, bool]] = [{} for _ in range(n_items)]
-        posts: List[Dict[str, float]] = [{} for _ in range(n_items)]
-        for node, vote in transaction.votes.items():
-            for pos, index in enumerate(transaction.sent[node]):
-                grants[index][node] = vote.granted[pos]
-                posts[index][node] = vote.post_utilization[pos]
-        outcomes: Dict[str, List[Outcome]] = {
-            node: [] for node in transaction.participants
-        }
-        # See _finish_transaction: retried rounds can outlast deadlines.
-        check_expiry = transaction.attempt > 0 or self._chaos_armed()
-        for index, item in enumerate(transaction.items):
+        check_expiry = state.attempt > 0 or self._chaos_armed()
+        for item in state.items:
             job = item.job
+            all_granted = True
+            post: Dict[str, float] = {}
+            for node in item.participants:
+                vote = votes[node]
+                pos = cursors[node]
+                cursors[node] = pos + 1
+                if not vote.granted[pos]:
+                    all_granted = False
+                post[node] = vote.post_utilization[pos]
+            expired = check_expiry and job.absolute_deadline <= now
             task = job.task
             assignment = task.home_assignment()
-            all_granted = all(
-                grants[index].get(node, False) for node in item.participants
-            )
-            expired = check_expiry and job.absolute_deadline <= self._sim.now
             condition_sum = 0.0
             if all_granted and not expired:
-                post = posts[index]
                 condition_sum = sum(
                     aub_term(post[assignment[s.index]]) for s in task.subtasks
                 )
                 all_granted = condition_sum <= 1.0 + EPSILON
             if not all_granted or expired:
                 for node in item.participants:
-                    outcomes[node].append(
-                        Outcome(txn=txn, job_key=job.key, commit=False)
-                    )
+                    outcomes[node].append(Outcome(job.key, False))
                 self._reject(
                     item.event,
                     "deadline expired during coordination"
@@ -902,25 +642,18 @@ class DistributedAdmissionControllerComponent(Component):
                 )
                 continue
             # Partition the residual slack equally among visited
-            # processors, exactly as the scalar round does.
+            # processors and convert each share into a local cap.
             k = len(item.participants)
-            slack_share = (1.0 - condition_sum) / k
+            slack_share = max(0.0, (1.0 - condition_sum) / k)
             for node in item.participants:
-                post_u = posts[index][node]
-                cap = aub_term_inverse(aub_term(post_u) + max(0.0, slack_share))
+                cap = aub_term_inverse(aub_term(post[node]) + slack_share)
                 outcomes[node].append(
-                    Outcome(
-                        txn=txn,
-                        job_key=job.key,
-                        commit=True,
-                        cap=cap,
-                        expiry=job.absolute_deadline,
-                    )
+                    Outcome(job.key, True, cap, job.absolute_deadline)
                 )
             self.admitted_jobs += 1
             if self._m_decisions_accept is not None:
                 self._m_decisions_accept.inc()
-                self._m_decision_latency.observe(self._sim.now - job.arrival_time)
+                self._m_decision_latency.observe(now - job.arrival_time)
             release_node = assignment[0]
             self._source.push(
                 release_node,
@@ -932,12 +665,9 @@ class DistributedAdmissionControllerComponent(Component):
                     release_node=release_node,
                 ),
             )
-        for node in transaction.participants:
-            self._source.push(
-                node,
-                TOPIC_COMMIT_BATCH,
-                BatchOutcome(txn=txn, items=tuple(outcomes[node])),
-            )
+        for node in state.participants:
+            message = RoundOutcome(txn, outcomes[node])
+            self._source.push(node, TOPIC_ROUND_OUTCOME, message)
 
     def _reject(self, event: TaskArriveEvent, reason: str) -> None:
         self.rejected_jobs += 1
@@ -955,111 +685,65 @@ class DistributedAdmissionControllerComponent(Component):
     # ------------------------------------------------------------------
     # Participant role
     # ------------------------------------------------------------------
-    def _on_reserve(self, request: ReserveRequest) -> None:
+    def _on_round_reserve(self, request: RoundReserve) -> None:
         if self._crashed:
             return
-        cost = self.env.cost_model.sample(OP_ADMISSION_TEST, self.env.cost_rng)
+        # One admission-test cost per reservation: a round saves
+        # messages, not admission math.
+        sample = self.env.cost_model.sample
+        rng = self.env.cost_rng
+        cost = sum([sample(OP_ADMISSION_TEST, rng) for _ in request.items])
         self._processor.submit(
-            self._thread, WorkItem(cost, self._vote_on, request)
+            self._thread, WorkItem(cost, self._vote_on_round, request)
         )
 
-    def _vote_on(self, request: ReserveRequest) -> None:
+    def _vote_on_round(self, request: RoundReserve) -> None:
+        """Per-item votes against one local snapshot: each granted item's
+        lock is visible to the items after it."""
         if self._crashed:
             # Crashed mid-admission-cost; the coordinator's timeout
             # (or our lock expiry, had we locked earlier) recovers.
             return
-        recorded = self._granted_votes.get(request.txn)
+        txn = request.txn
+        recorded = self._granted_votes.get(txn)
         if recorded is not None:
-            # Duplicate reserve: our granted vote was lost in flight.
-            # Resend it verbatim — the lock is already held, so
-            # re-evaluating would double-count the delta.
-            self._source.push(request.coordinator, TOPIC_VOTE, recorded)
+            # Duplicate reserve: our vote was lost in flight.  Resend it
+            # verbatim — the granted items' locks are already held, so
+            # re-evaluating would double-count their deltas.
+            self._source.push(request.coordinator, TOPIC_ROUND_VOTE, recorded)
             return
-        granted = self._locally_admissible(request.delta)
-        if granted:
-            self._locks[request.txn] = request.delta
-            self._total += request.delta
-            self._arm_lock_expiry(request.txn, request.expiry)
-        vote = Vote(
-            txn=request.txn,
-            node=self._node,
-            granted=granted,
-            post_utilization=self.utilization if granted else 0.0,
-        )
-        if granted:
-            self._granted_votes[request.txn] = vote
-        self._source.push(request.coordinator, TOPIC_VOTE, vote)
-
-    def _on_batch_reserve(self, request: BatchReserveRequest) -> None:
-        if self._crashed:
-            return
-        # One admission-test cost per reservation, as the scalar rounds
-        # charge — piggybacking saves messages, not admission math.
-        cost = sum(
-            self.env.cost_model.sample(OP_ADMISSION_TEST, self.env.cost_rng)
-            for _ in request.items
-        )
-        self._processor.submit(
-            self._thread, WorkItem(cost, self._vote_on_batch, request)
-        )
-
-    def _vote_on_batch(self, request: BatchReserveRequest) -> None:
-        """Per-item votes against one local snapshot: each granted item's
-        lock is visible to the items after it, exactly as the sequential
-        one-round-per-reservation path (whose reserve requests all land
-        before any outcome returns) evaluates them."""
-        if self._crashed:
-            return
-        recorded = self._granted_votes.get(request.txn)
-        if recorded is not None:
-            # Duplicate reserve after a lost vote: resend verbatim (the
-            # granted items' locks are already held).
-            self._source.push(request.coordinator, TOPIC_VOTE_BATCH, recorded)
-            return
+        locks = self._locks
         granted: List[bool] = []
         post: List[float] = []
+        any_granted = False
         for item in request.items:
-            key = (request.txn, item.job_key)
-            if key in self._locks:
+            key = (txn, item.job_key)
+            if key in locks:
                 # Held from an earlier attempt whose recorded vote was
                 # dropped when a sibling item's lock expired: grant
                 # without re-locking.
-                granted.append(True)
-                post.append(self.utilization)
-                continue
-            ok = self._locally_admissible(item.delta)
-            if ok:
-                self._locks[key] = item.delta
-                self._total += item.delta
-                self._arm_lock_expiry(key, item.expiry)
+                ok = True
+            else:
+                ok = self._locally_admissible(item.delta)
+                if ok:
+                    locks[key] = item.delta
+                    self._total += item.delta
+                    self._arm_lock_expiry(key, item.expiry)
             granted.append(ok)
-            post.append(self.utilization if ok else 0.0)
-        vote = BatchVote(
-            txn=request.txn,
-            node=self._node,
-            granted=tuple(granted),
-            post_utilization=tuple(post),
-        )
-        if any(granted):
-            self._granted_votes[request.txn] = vote
-        self._source.push(request.coordinator, TOPIC_VOTE_BATCH, vote)
+            post.append(self._total if ok else 0.0)
+            any_granted = any_granted or ok
+        vote = RoundVote(txn, self._node, granted, post)
+        if any_granted:
+            self._granted_votes[txn] = vote
+        self._source.push(request.coordinator, TOPIC_ROUND_VOTE, vote)
 
-    def _on_outcome(self, outcome: Outcome) -> None:
+    def _on_round_outcome(self, message: RoundOutcome) -> None:
         if self._crashed:
             return
-        self._granted_votes.pop(outcome.txn, None)
-        locked = self._locks.pop(outcome.txn, None)
-        if locked is None:
-            return
-        self._cancel_lock_expiry(outcome.txn)
-        self._apply_outcome(outcome, locked)
-
-    def _on_batch_outcome(self, batch: BatchOutcome) -> None:
-        if self._crashed:
-            return
-        self._granted_votes.pop(batch.txn, None)
-        for outcome in batch.items:
-            key = (batch.txn, outcome.job_key)
+        txn = message.txn
+        self._granted_votes.pop(txn, None)
+        for outcome in message.items:
+            key = (txn, outcome.job_key)
             locked = self._locks.pop(key, None)
             if locked is None:
                 continue

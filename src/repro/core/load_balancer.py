@@ -23,7 +23,7 @@ from repro.ccm.component import AttributeSpec, Component
 from repro.ccm.ports import Facet, Receptacle
 from repro.core.runtime import RuntimeEnv
 from repro.errors import ComponentError
-from repro.sched.aub import RESERVED, BatchAdmissionSession, BatchCandidate
+from repro.sched.aub import RESERVED, BatchAdmissionSession, burst_candidate
 from repro.sched.task import Job, TaskSpec
 
 
@@ -114,14 +114,7 @@ class LoadBalancerComponent(Component):
         self.location_calls += 1
         task = job.task
         assignment, _added = self._greedy_plan(task, session)
-        candidate = BatchCandidate(
-            task.visited_processors(assignment),
-            [
-                (assignment[s.index], task.subtask_utilization(s.index))
-                for s in task.subtasks
-            ],
-        )
-        if not session.try_admit(candidate):
+        if not session.try_admit(burst_candidate(task, assignment)):
             return None
         self.plans_returned += 1
         return assignment

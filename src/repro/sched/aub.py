@@ -72,6 +72,7 @@ from repro.sanitize import (
     SanitizeViolation,
     check_screen_cleared,
 )
+from repro.sched.task import TaskSpec
 from repro.sim.monitor import TimeWeightedStat
 
 #: Numeric slack for condition comparisons, so contributions that sum to
@@ -425,6 +426,18 @@ class BatchCandidate:
             contribs[node] = contribs.get(node, 0.0) + value
         self.contribs = contribs
         self.key = key
+
+
+def burst_candidate(task: TaskSpec, assignment: Dict[int, str]) -> BatchCandidate:
+    """``task`` placed by ``assignment`` as a batch-session candidate:
+    its visit list and per-stage contributions in commit order."""
+    return BatchCandidate(
+        task.visited_processors(assignment),
+        [
+            (assignment[s.index], task.subtask_utilization(s.index))
+            for s in task.subtasks
+        ],
+    )
 
 
 class AubAnalyzer:

@@ -9,7 +9,7 @@ promises no matter what the schedule does:
   rejected once the drain window closes; faults can change *which*, but
   never strand a job mid-coordination.
 * **No reservation leaks** — after the drain, every controller's lock
-  table, contribution map, and in-flight transaction tables are empty
+  table, contribution map, and in-flight round table are empty
   and its running total is exactly zero (``verify_ledger`` re-derives
   the total from scratch; under ``REPRO_SANITIZE=1`` it additionally
   cross-checks the :class:`~repro.sanitize.LedgerShadow` mirror).
@@ -104,8 +104,7 @@ def _run_and_check_invariants(scenario: Scenario):
         # last lock/contribution clears.
         # repro-lint: disable=RL004
         assert ac._total == 0.0, f"{node}: residual total {ac._total}"
-        assert not ac._transactions, f"{node}: unfinished transactions"
-        assert not ac._batch_transactions, f"{node}: unfinished batches"
+        assert not ac._rounds, f"{node}: unfinished rounds"
         ac.verify_ledger()
     return result
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.cost_model import CostModel
-from repro.core.distributed_ac import DistributedMiddlewareSystem
+from repro.core.distributed_ac import TOPIC_ROUND_OUTCOME, DistributedMiddlewareSystem
 from repro.core.middleware import MiddlewareSystem
 from repro.core.strategies import StrategyCombo
+from repro.net.fault import FaultInjector
 from repro.net.latency import ConstantDelay
 from repro.sched.aub import aub_term, aub_term_inverse
 from repro.sched.task import TaskKind
@@ -247,6 +248,46 @@ class TestPiggybackedRounds:
         assert coordinator.coordination_rounds == 0
         assert coordinator.reserve_messages == 0
         assert all(ac.utilization == 0.0 for ac in system.acs.values())
+
+
+def test_round_messages_go_out_in_sorted_participant_order():
+    """A round's items name their participants in any order, but each
+    phase reaches the participants in sorted node order, so remote sends
+    sample their network delays in a fixed order.  Checked on an abort:
+    app3 is cut off, so the round times out and aborts."""
+    first = make_task(
+        "A", TaskKind.APERIODIC, deadline=5.0, execs=(0.1, 0.1),
+        homes=("app1", "app3"),
+    )
+    second = make_task(
+        "B", TaskKind.APERIODIC, deadline=5.0, execs=(0.1, 0.1),
+        homes=("app1", "app2"),
+    )
+    workload = Workload(tasks=(first, second), app_nodes=("app1", "app2", "app3"))
+    system = build_distributed(
+        workload, seed=1, cost_model=CostModel(jitter=0.0), arrival_batching=True
+    )
+    injector = FaultInjector(system.rngs)
+    injector.add_partition(0.0, 10.0, ("app1", "app2"), ("app3",))
+    system.install_fault_injector(injector)
+    outcome_destinations = []
+    send = system.network.send
+
+    def spy(source, destination, topic, payload, on_deliver):
+        if topic == TOPIC_ROUND_OUTCOME:
+            outcome_destinations.append(destination)
+        return send(source, destination, topic, payload, on_deliver)
+
+    system.network.send = spy
+    for task in (first, second):
+        system.sim.schedule_at(0.0, system._base._arrive, task, 0, 0.0)
+    system.sim.run(until=5.0)
+    coordinator = system.acs["app1"]
+    assert coordinator.coordination_rounds == 1
+    assert coordinator.aborted_transactions == 1
+    assert coordinator.rejected_jobs == 2
+    # app1 is the coordinator, so its outcome is a local push.
+    assert outcome_destinations == ["app2", "app3"]
 
 
 class TestDistributedComparisons:
